@@ -18,7 +18,7 @@ from . import __version__
 from .abelian import count_solutions_mod
 from .dichotomy import Classification, classify, reconstruct_group, replay_witness
 from .evaluator import CapExceeded, eval_bruteforce, evaluate
-from .exactcore import IntMatrix, snf
+from .exactcore import IntMatrix, format_rational, snf
 from .fixtures import (
     geometric,
     mixed,
@@ -73,7 +73,7 @@ def _read(path: str) -> str:
 
 def _jsonify(value: Any) -> Any:
     if isinstance(value, Fraction):
-        return str(value)
+        return format_rational(value)
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -114,8 +114,8 @@ def _classification_payload(cls: Classification) -> dict[str, Any]:
                     "elements": sorted(z for c in fs.classes for z in c),
                     "classes": [list(c) for c in fs.classes],
                     "s": fs.s,
-                    "mu": [str(m) for m in fs.mu],
-                    "constant": str(fs.constant),
+                    "mu": fs.mu,
+                    "constant": fs.constant,
                     "group_order": gs.group.order,
                     "invariant_factors": list(gs.decomposition.factors),
                     "a": gs.a,
@@ -168,11 +168,10 @@ def _cmd_gadget(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
     kind = args.kind
     if kind == "tilde":
         g = load_symfunc(_read(args.g))
-        matrix = tilde_f(g, args.k)
         payload = {
             "gadget": kind,
             "k": args.k,
-            "matrix": [[str(v) for v in row] for row in matrix],
+            "matrix": tilde_f(g, args.k),
         }
         return "value", payload, 0
     inst = load_instance(_read(args.i))

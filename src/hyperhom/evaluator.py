@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .abelian import count_homs
 from .dichotomy import Classification, FactorStructure
-from .exactcore import lcm_all
+from .exactcore import format_rational, lcm_all
 from .model import CspInstance, Instance, degrees, instance_components
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "lambda_factor_direct",
     "MonomialTally",
     "lambda_monomial_dp",
-    "ContingencyTable",
-    "northwest_contingency",
     "monomial_value",
     "TermBreakdown",
     "PieceBreakdown",
@@ -107,8 +105,10 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
 
     Scopes are checked as soon as their last vertex is assigned and zero
     partial products are pruned; weights are pre-scaled to integers so the
-    hot loop never touches Fractions. Raises CapExceeded when q^n exceeds
-    the cap (argument, then HYPERHOM_BRUTE_CAP, then the default).
+    hot loop never touches Fractions. The search is a loop over per-depth
+    state, so its depth is not bound by the recursion limit. Raises
+    CapExceeded when q^n exceeds the cap (argument, then
+    HYPERHOM_BRUTE_CAP, then the default).
     """
     _check_instance(g.r, inst)
     cap = resolve_brute_cap(cap)
@@ -120,29 +120,35 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     scale = lcm_all(w.denominator for w in g.weights.values())
     table = {key: int(w * scale) for key, w in g.weights.items()}
     _, completing = _dfs_plan(inst)
-    sigma = [0] * n
+    # sigma[d] is the value under trial at depth d (-1 before the first);
+    # weights[d] is the product of the scopes completed above depth d.
+    sigma = [-1] * n
+    weights = [1] * n
     lookup = table.get
     total = 0
-
-    def descend(depth: int, weight: int) -> None:
-        nonlocal total
-        if depth == n:
-            total += weight
-            return
-        checks = completing[depth]
-        for value in range(q):
-            sigma[depth] = value
-            w = weight
-            for positions in checks:
-                f = lookup(tuple(sorted(sigma[p] for p in positions)))
-                if f is None:
-                    w = 0
-                    break
-                w *= f
-            if w:
-                descend(depth + 1, w)
-
-    descend(0, 1)
+    last = n - 1
+    depth = 0
+    while depth >= 0:
+        value = sigma[depth] + 1
+        if value == q:
+            sigma[depth] = -1
+            depth -= 1
+            continue
+        sigma[depth] = value
+        w = weights[depth]
+        for positions in completing[depth]:
+            f = lookup(tuple(sorted(sigma[p] for p in positions)))
+            if f is None:
+                w = 0
+                break
+            w *= f
+        if not w:
+            continue
+        if depth == last:
+            total += w
+        else:
+            depth += 1
+            weights[depth] = w
     return Fraction(total, scale ** len(inst.scopes))
 
 
@@ -177,11 +183,14 @@ class MonomialTally:
 
 
 def lambda_monomial_dp(fs: FactorStructure, inst: Instance) -> tuple[MonomialTally, Fraction]:
-    """Degree factor via the monomial dynamic program.
+    """Degree factor as a sum over exponent vectors.
 
-    Walks the vertices, tracking the partial exponent load of the first
-    s-1 indices (the last is forced by the budget); the value recombines
-    the tally through monomial_value. Cross-checks lambda_factor_direct.
+    Walks the vertices, giving each one index and adding its degree to
+    that index's load; states hold the loads of the first s-1 indices
+    (the last is forced by the total rM). The tally counts the index
+    assignments per exponent vector, and the value sums count times
+    monomial_value over the tally. It is computed independently of, and
+    must equal, lambda_factor_direct.
     """
     m_count = len(inst.scopes)
     if m_count < 1:
@@ -208,66 +217,26 @@ def lambda_monomial_dp(fs: FactorStructure, inst: Instance) -> tuple[MonomialTal
     return MonomialTally(s, total, coeff), value
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Nonnegative integer matrix with prescribed row sums and constant
-    column sums; columns read as index multisets."""
-
-    entries: tuple[tuple[int, ...], ...]
-    col_total: int
-
-    def __post_init__(self):
-        for j in range(len(self.entries[0]) if self.entries else 0):
-            if sum(row[j] for row in self.entries) != self.col_total:
-                raise ValueError(f"column {j} does not sum to {self.col_total}")
-
-
-def northwest_contingency(row_totals: Sequence[int], col_count: int, col_total: int) -> ContingencyTable:
-    """Deterministic table with the given margins, by northwest-corner fill."""
-    if any(t < 0 for t in row_totals):
-        raise ValueError("negative row total")
-    if sum(row_totals) != col_count * col_total:
-        raise ValueError(
-            f"row totals sum to {sum(row_totals)}, expected {col_count} * {col_total}"
-        )
-    row_rem = list(row_totals)
-    col_rem = [col_total] * col_count
-    table = [[0] * col_count for _ in row_totals]
-    for i in range(len(row_totals)):
-        for j in range(col_count):
-            t = min(row_rem[i], col_rem[j])
-            if t:
-                table[i][j] = t
-                row_rem[i] -= t
-                col_rem[j] -= t
-    return ContingencyTable(tuple(tuple(row) for row in table), col_total)
-
-
 def monomial_value(fs: FactorStructure, mvec: Sequence[int]) -> Fraction:
-    """Value of one exponent vector, column by column.
+    """Value C^M * prod_i mu[i]^M_i of one exponent vector (M_1..M_s).
 
-    The table splits the loads into per-scope index multisets; each column
-    contributes the weight of one relation member at those indices, which
-    the product form gives as constant * prod mu. No r-th roots appear.
+    Each of the M = sum(mvec) / r scopes takes the weight of one relation
+    member, which the product form gives as C times mu at its r indices,
+    so the vector's loads enter only as exponents. No r-th roots appear.
     """
     if len(mvec) != fs.s:
         raise ValueError(f"exponent vector has {len(mvec)} entries, expected {fs.s}")
     if not fs.relation:
         raise ValueError("empty relation")
+    if any(m < 0 for m in mvec):
+        raise ValueError(f"negative entry in exponent vector {tuple(mvec)}")
     r = len(next(iter(fs.relation)))
     total = sum(mvec)
     if total % r != 0:
         raise ValueError(f"exponent total {total} not divisible by arity {r}")
-    m_count = total // r
-    table = northwest_contingency(mvec, m_count, r)
-    value = Fraction(1)
-    for j in range(m_count):
-        col = Fraction(fs.constant)
-        for i in range(fs.s):
-            cnt = table.entries[i][j]
-            if cnt:
-                col *= fs.mu[i] ** cnt
-        value *= col
+    value = fs.constant ** (total // r)
+    for mu, m in zip(fs.mu, mvec):
+        value *= mu**m
     return value
 
 
@@ -302,18 +271,18 @@ class EvalReport:
 
     def to_json(self) -> dict:
         """Machine-readable form: rationals as strings, full breakdown."""
-        out: dict = {"value": str(self.value), "method": self.method}
+        out: dict = {"value": format_rational(self.value), "method": self.method}
         if self.isolated is not None:
             out["isolated_vertices"] = self.isolated
         if self.pieces is not None:
             out["pieces"] = [
                 {
                     "vertices": list(piece.vertices),
-                    "total": str(piece.total),
+                    "total": format_rational(piece.total),
                     "terms": [
                         {
                             "component": list(term.component),
-                            "lambda": str(term.lam),
+                            "lambda": format_rational(term.lam),
                             "homs": term.homs,
                         }
                         for term in piece.terms

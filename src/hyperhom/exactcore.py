@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "IntMatrix",
@@ -23,8 +23,6 @@ __all__ = [
     "snf",
     "det_int",
 ]
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -42,8 +40,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Inverse of parse_rational; str(Fraction) already has the right shape."""
-    return str(Fraction(x))
+    """Inverse of parse_rational: the text of str(Fraction) at any size.
+
+    Integers go through Decimal, whose conversion is exact and not bound
+    by the interpreter's limit on int-to-str digits (4300 by default).
+    """
+    num = str(Decimal(x.numerator))
+    if x.denominator == 1:
+        return num
+    return f"{num}/{Decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .model import (
     SymFunc,
     degrees,
     instance_components,
+    link_roots,
     marginalize,
     orderings_count,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "InterpolationResult",
     "recover_via_interpolation",
     "eval_table_brute",
-    "eval_binary_brute",
 ]
 
 
@@ -270,23 +270,11 @@ def equality_eliminator(inst: CspInstance, p: int) -> GadgetResult:
 
 def contract_equalities(inst: CspInstance) -> tuple[CspInstance, tuple[int, ...]]:
     """Merge equality-linked variables; returns the instance plus old->new map."""
-    parent = list(range(inst.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w in inst.equalities:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[max(ru, rw)] = min(ru, rw)
-    roots = sorted({find(v) for v in range(inst.n)})
-    renum = {root: i for i, root in enumerate(roots)}
-    var_map = tuple(renum[find(v)] for v in range(inst.n))
+    root = link_roots(inst.n, inst.equalities)
+    renum = {least: i for i, least in enumerate(sorted(set(root)))}
+    var_map = tuple(renum[least] for least in root)
     scopes = tuple(tuple(var_map[v] for v in s) for s in inst.scopes)
-    return CspInstance(len(roots), scopes, ()), var_map
+    return CspInstance(len(renum), scopes, ()), var_map
 
 
 def relation_to_symfunc(relation: frozenset[tuple[int, ...]], m: int, r: int) -> SymFunc:
@@ -376,26 +364,6 @@ def eval_table_brute(table: MarginalTable, inst: Instance, limit: int = 10_000_0
         w = Fraction(1)
         for scope in inst.scopes:
             w *= table.value(tuple(sigma[v] for v in scope))
-            if not w:
-                break
-        total += w
-    return total
-
-
-def eval_binary_brute(
-    h: Sequence[Sequence[Fraction]], inst: Instance, limit: int = 10_000_000
-) -> Fraction:
-    """Assignment sum of a binary table over a 2-uniform instance."""
-    if inst.arity not in (None, 2):
-        raise ValueError(f"binary evaluation needs arity 2, got {inst.arity}")
-    q = len(h)
-    if q**inst.n > limit:
-        raise ValueError(f"{q}^{inst.n} assignments exceed {limit}")
-    total = Fraction(0)
-    for sigma in product(range(q), repeat=inst.n):
-        w = Fraction(1)
-        for u, v in inst.scopes:
-            w *= h[sigma[u]][sigma[v]]
             if not w:
                 break
         total += w

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
 
@@ -48,6 +48,7 @@ __all__ = [
     "load_instance",
     "marginalize",
     "prune_domain",
+    "link_roots",
     "domain_components",
     "instance_components",
     "degrees",
@@ -97,10 +98,6 @@ class SymFunc:
 
     def value(self, key: Sequence[int]) -> Fraction:
         return self.weights.get(tuple(sorted(key)), _ZERO)
-
-    def keys(self) -> Iterator[tuple[int, ...]]:
-        """All size-r multisets over the domain, in lexicographic order."""
-        return combinations_with_replacement(range(self.q), self.r)
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.weights)
@@ -440,6 +437,30 @@ def prune_domain(g: SymFunc) -> PruneResult:
     return PruneResult(out, kept, removed)
 
 
+def link_roots(n: int, links: Iterable[Sequence[int]]) -> list[int]:
+    """Least class member of each of 0..n-1 under the classes the links join.
+
+    Each link is a non-empty sequence of elements put into one class;
+    union-find with the smaller root kept on every merge.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for link in links:
+        base = find(link[0])
+        for v in link[1:]:
+            root = find(v)
+            if root != base:
+                base, other = min(base, root), max(base, root)
+                parent[other] = base
+    return [find(x) for x in range(n)]
+
+
 def domain_components(g: SymFunc) -> tuple[tuple[int, ...], ...]:
     """Connected components of the binary co-occurrence relation.
 
@@ -450,22 +471,11 @@ def domain_components(g: SymFunc) -> tuple[tuple[int, ...], ...]:
     missing = [z for z in range(g.q) if (z,) not in f1.values]
     if missing:
         raise ValueError(f"domain not pruned: zero unary marginal at {missing}")
-    parent = list(range(g.q))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pair in marginalize(g, 2).support():
-        a, b = find(pair[0]), find(pair[1])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+    root = link_roots(g.q, marginalize(g, 2).values)
     groups: dict[int, list[int]] = {}
     for z in range(g.q):
-        groups.setdefault(find(z), []).append(z)
-    return tuple(tuple(groups[root]) for root in sorted(groups))
+        groups.setdefault(root[z], []).append(z)
+    return tuple(tuple(groups[least]) for least in sorted(groups))
 
 
 @dataclass(frozen=True)
@@ -489,47 +499,32 @@ def degrees(inst: Instance) -> tuple[int, ...]:
 
 
 def instance_components(inst: Instance) -> InstanceComponents:
-    parent = list(range(inst.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for scope in inst.scopes:
-        base = find(scope[0])
-        for v in scope[1:]:
-            root = find(v)
-            if root != base:
-                a, b = min(base, root), max(base, root)
-                parent[b] = a
-                base = a
+    root = link_roots(inst.n, inst.scopes)
     deg = degrees(inst)
     isolated = sum(1 for v in range(inst.n) if deg[v] == 0)
     members: dict[int, list[int]] = {}
     for v in range(inst.n):
         if deg[v] > 0:
-            members.setdefault(find(v), []).append(v)
-    scope_groups: dict[int, list[tuple[int, ...]]] = {root: [] for root in members}
+            members.setdefault(root[v], []).append(v)
+    scope_groups: dict[int, list[tuple[int, ...]]] = {least: [] for least in members}
     for scope in inst.scopes:
-        scope_groups[find(scope[0])].append(scope)
-    eq_groups: dict[int, list[tuple[int, int]]] = {root: [] for root in members}
+        scope_groups[root[scope[0]]].append(scope)
+    eq_groups: dict[int, list[tuple[int, int]]] = {least: [] for least in members}
     if isinstance(inst, CspInstance):
         for u, w in inst.equalities:
-            ru, rw = find(u), find(w)
+            ru, rw = root[u], root[w]
             if ru != rw or deg[u] == 0 or deg[w] == 0:
                 raise ValueError(f"equality ({u}, {w}) does not stay inside one component")
             eq_groups[ru].append((u, w))
     pieces = []
-    for root in sorted(members):
-        verts = tuple(members[root])
+    for least in sorted(members):
+        verts = tuple(members[least])
         renum = {old: new for new, old in enumerate(verts)}
-        scopes = tuple(tuple(renum[v] for v in s) for s in scope_groups[root])
+        scopes = tuple(tuple(renum[v] for v in s) for s in scope_groups[least])
         if isinstance(inst, Hypergraph):
             piece: Instance = Hypergraph(len(verts), scopes)
         else:
-            eqs = tuple((renum[u], renum[w]) for u, w in eq_groups[root])
+            eqs = tuple((renum[u], renum[w]) for u, w in eq_groups[least])
             piece = CspInstance(len(verts), scopes, eqs)
         pieces.append((piece, verts))
     return InstanceComponents(tuple(pieces), isolated)

@@ -1,11 +1,15 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import hyperhom
 from hyperhom import fixtures as fx
 from hyperhom.cli import main
 from hyperhom.model import CspInstance, Hypergraph, dump_csp, dump_hypergraph, dump_symfunc
@@ -87,6 +91,31 @@ def test_eval_methods(files, capsys):
     assert code == 0
     assert report["payload"]["method"] == "structured-dp"
     assert report["payload"]["value"] == "27"
+
+
+def test_eval_value_beyond_int_str_digits(tmp_path, capsys):
+    # 4^8000 has 4817 digits, beyond the interpreter's default int-to-str limit
+    g = tmp_path / "mixed.sf"
+    g.write_text(dump_symfunc(fx.mixed()))
+    inst = tmp_path / "edgeless.hg"
+    inst.write_text(dump_hypergraph(Hypergraph(8000, ())))
+    code, report, _ = run_cli(capsys, "eval", "-g", str(g), "-i", str(inst))
+    assert code == 0
+    text = report["payload"]["value"]
+    assert len(text) == 4817
+    assert int(Decimal(text)) == 4**8000
+
+
+def test_eval_brute_deeper_than_recursion_limit(tmp_path, capsys):
+    g = tmp_path / "one.sf"
+    g.write_text("symfunc v1\nq 1\nr 3\n0 0 0 = 3/2\n")
+    inst = tmp_path / "long.hg"
+    inst.write_text(dump_hypergraph(Hypergraph(1200, ((0, 1, 2),))))
+    code, report, _ = run_cli(
+        capsys, "eval", "-g", str(g), "-i", str(inst), "--method", "brute"
+    )
+    assert code == 0
+    assert report["payload"]["value"] == "3/2"
 
 
 def test_eval_hard_auto_uses_brute(files, capsys):
@@ -197,10 +226,14 @@ def test_report_determinism(files, capsys):
 
 
 def test_console_script_entry_point(files):
+    # the child imports the package under test, wherever pytest found it
+    src = str(Path(hyperhom.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hyperhom.cli", "classify", "-g", files["parity"]],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

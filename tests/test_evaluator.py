@@ -18,10 +18,9 @@ from hyperhom.evaluator import (
     lambda_factor_direct,
     lambda_monomial_dp,
     monomial_value,
-    northwest_contingency,
     resolve_brute_cap,
 )
-from hyperhom.model import CspInstance, Hypergraph, degrees
+from hyperhom.model import CspInstance, Hypergraph, SymFunc, degrees
 
 EDGE = Hypergraph(3, ((0, 1, 2),))
 
@@ -63,6 +62,12 @@ def test_bruteforce_rational_weights():
             w *= g.value(tuple(x[v] for v in e))
         direct += w
     assert eval_bruteforce(g, inst) == direct
+
+
+def test_bruteforce_deeper_than_recursion_limit():
+    # q = 1 passes any cap, so the search goes one level per vertex
+    one = SymFunc.from_weights(1, 3, {(0, 0, 0): Fraction(3, 2)})
+    assert eval_bruteforce(one, Hypergraph(1200, ((0, 1, 2),))) == Fraction(3, 2)
 
 
 def test_cap_guard_and_resolution(monkeypatch):
@@ -131,22 +136,45 @@ def test_tally_sanity_random():
             assert value == lambda_factor_direct(fs, degrees(inst), len(inst.edges))
 
 
-def test_northwest_examples():
-    assert northwest_contingency((2, 1), 1, 3).entries == ((2,), (1,))
-    assert northwest_contingency((3, 3), 2, 3).entries == ((3, 0), (0, 3))
-    assert northwest_contingency((4, 2), 2, 3).entries == ((3, 1), (0, 2))
-    with pytest.raises(ValueError):
-        northwest_contingency((2, 2), 1, 3)
-
-
 def test_monomial_value_examples():
     geom_fs = classify(fx.geometric()).components[0].factor
     assert monomial_value(geom_fs, (2, 1)) == 2
     assert monomial_value(geom_fs, (3, 0)) == 1
     mixed_fs = classify(fx.mixed()).components[0].factor
     assert monomial_value(mixed_fs, (0, 3)) == 27
-    with pytest.raises(ValueError):
-        monomial_value(mixed_fs, (1, 1))  # sum not divisible by r
+    assert monomial_value(mixed_fs, (4, 2)) == 9  # two scopes: C^2 * 1^4 * 3^2, mu = (1, 3)
+    for bad in (
+        (1, 1),  # sum not divisible by r
+        (2, 2),
+        (-1, 4),  # negative entry
+        (1, 1, 1),  # wrong length
+    ):
+        with pytest.raises(ValueError):
+            monomial_value(mixed_fs, bad)
+
+
+def test_northwest_examples():
+    # the proof's northwest-corner fill of the margins (one column per scope)
+    # gives the same value as the direct C^M * prod mu_i^M_i
+    cases = {
+        (2, 1): ((0, 0, 1),),
+        (3, 3): ((0, 0, 0), (1, 1, 1)),
+        (4, 2): ((0, 0, 0), (0, 1, 1)),
+    }
+    weighted = fx.structured_family(
+        [(AbelianGroup.cyclic(3), 2, (Fraction(1), Fraction(2)), 0, Fraction(5, 3))]
+    )
+    for g in (fx.mixed(), weighted):
+        fs = classify(g).components[0].factor
+        for mvec, columns in cases.items():
+            want = Fraction(1)
+            for column in columns:
+                want *= fs.constant
+                for i in column:
+                    want *= fs.mu[i]
+            assert monomial_value(fs, mvec) == want
+        with pytest.raises(ValueError):
+            monomial_value(fs, (2, 2))
 
 
 def test_monomial_value_alpha_independent():
@@ -160,8 +188,7 @@ def test_monomial_value_alpha_independent():
     assert len(relation) >= 3
     for mvec in ((2, 1), (3, 0), (0, 3), (1, 2)):
         want = monomial_value(fs, mvec)
-        table = northwest_contingency(mvec, 1, 3)
-        column = [i for i, row in enumerate(table.entries) for _ in range(row[0])]
+        column = [i for i, m in enumerate(mvec) for _ in range(m)]
         for alpha in relation[:3]:
             z = tuple(fs.element(c, i) for c, i in zip(alpha, column))
             assert g.value(z) == want
@@ -215,8 +242,6 @@ def test_eval_multiplicative_over_disjoint_union():
 
 
 def test_eval_empty_pruned_domain():
-    from hyperhom.model import SymFunc
-
     nothing = SymFunc.from_weights(2, 3, {})
     cls = classify(nothing)
     assert eval_tractable(cls, EDGE).value == 0

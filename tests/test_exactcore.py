@@ -1,6 +1,7 @@
 """Rational parsing, integer matrices, and Smith normal form."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,18 @@ def test_parse_rational_rejects_garbage():
 def test_format_round_trip():
     for f in (Fraction(0), Fraction(-3, 7), Fraction(22, 11), Fraction(5, 2)):
         assert parse_rational(format_rational(f)) == f
+
+
+def test_format_rational_at_any_size():
+    # str(Fraction) is the reference up to the default 4300-digit int-to-str
+    # limit; beyond it, the digits are read back through Decimal
+    for f in (Fraction(0), Fraction(-3, 7), Fraction(10**4299 + 1, 3), Fraction(-7, 10**4299)):
+        assert format_rational(f) == str(f)
+    big = Fraction(-(4**8000), 3**10000)
+    num, den = format_rational(big).split("/")
+    assert (len(num), len(den)) == (4818, 4772)
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == big
+    assert format_rational(4**8000) == num[1:]
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))

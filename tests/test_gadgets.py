@@ -14,7 +14,6 @@ from hyperhom.gadgets import (
     component_separator,
     contract_equalities,
     equality_eliminator,
-    eval_binary_brute,
     eval_table_brute,
     gram,
     pad_to_arity,
@@ -26,7 +25,7 @@ from hyperhom.gadgets import (
     two_stretch,
     vertex_power,
 )
-from hyperhom.model import CspInstance, Hypergraph, marginalize
+from hyperhom.model import CspInstance, Hypergraph, MarginalTable, marginalize
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
 TRIANGLE = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
@@ -115,13 +114,16 @@ def test_stretch_identity():
         f2 = marginalize(g, 2)
         h = [[f2.value((x, y)) for y in range(g.q)] for x in range(g.q)]
         h2 = gram(h)
+        table = MarginalTable(
+            g.q, 2, {(x, y): h2[x][y] for x in range(g.q) for y in range(x, g.q) if h2[x][y]}
+        )
         for inst in (
             TRIANGLE,
             Hypergraph(2, ((0, 1),)),
             CspInstance(2, ((0, 0), (0, 1)), ()),
         ):
             res = two_stretch(inst)
-            assert eval_binary_brute(h2, inst) == eval_table_brute(f2, res.instance)
+            assert eval_table_brute(table, inst) == eval_table_brute(f2, res.instance)
 
 
 def test_vertex_power_structure():
@@ -329,5 +331,5 @@ def test_interpolation_surplus_consistent():
 def test_brute_harness_helpers():
     f2 = marginalize(fx.parity(), 2)
     assert eval_table_brute(f2, TRIANGLE) == 8
-    h = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
-    assert eval_binary_brute(h, Hypergraph(2, ((0, 1),))) == 6
+    h = MarginalTable(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(1)})
+    assert eval_table_brute(h, Hypergraph(2, ((0, 1),))) == 6

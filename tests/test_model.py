@@ -18,6 +18,7 @@ from hyperhom.model import (
     dump_hypergraph,
     dump_symfunc,
     instance_components,
+    link_roots,
     load_csp,
     load_hypergraph,
     load_instance,
@@ -170,6 +171,12 @@ def test_domain_components():
     assert domain_components(fx.mixed()) == ((0, 1, 2, 3),)
     with pytest.raises(ValueError):
         domain_components(SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1)}))
+
+
+def test_link_roots_least_member():
+    links = [(4, 5), (3, 5), (6, 1), (1, 3), (2,)]
+    assert link_roots(7, links) == [0, 1, 2, 1, 1, 1, 1]
+    assert link_roots(3, []) == [0, 1, 2]
 
 
 def test_degrees():
