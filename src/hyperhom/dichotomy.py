@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, CyclicDecomposition, decompose
 from .exactcore import format_rational, parse_rational
-from .model import SymFunc, domain_components, prune_domain
+from .model import SymFunc, domain_components, marginalize, prune_domain
 
 __all__ = [
     "KIND_UNEQUAL_CLASS_SIZES",
@@ -154,46 +154,56 @@ class Classification:
     witness: HardnessWitness | None
 
 
-def _proportional(va: Sequence[Fraction], vb: Sequence[Fraction]) -> Fraction | None:
-    """Return t with va = t * vb (entrywise), or None if no such t > 0."""
-    t = None
-    for x, y in zip(va, vb):
-        if (x == 0) != (y == 0):
-            return None
-        if x != 0:
-            if t is None:
-                t = x / y
-            elif x != t * y:
-                return None
-    return t
-
-
 def sim_classes(g: SymFunc, component: Sequence[int], k: int | None = None) -> SimClasses:
     """Group component elements whose arity-k slices are proportional.
 
     k defaults to the full arity; lower k is used by consistency tests.
     Classes are ordered by least element, members ascending.
+
+    The slice of z is kept sparse, as the list of nonzero keys holding z.
+    Two slices are proportional when the lists have the same length and
+    each key of z's list, with one z swapped for the other element, is a
+    nonzero key at a constant ratio. Comparing an element with a class
+    representative costs O(|slice| * r) table lookups, and mismatches
+    usually show at the first key.
     """
     if k is None:
         k = g.r
     if not 2 <= k <= g.r:
         raise ValueError(f"slice arity {k} outside 2..{g.r}")
     comp = tuple(sorted(component))
-    rest = list(combinations_with_replacement(range(g.q), k - 1))
-    if k == g.r:
-        slices = {z: tuple(g.value((z,) + w) for w in rest) for z in comp}
-    else:
-        from .model import marginalize
+    table = g.weights if k == g.r else marginalize(g, k).values
+    holders: dict[int, list[tuple[int, ...]]] = {z: [] for z in comp}
+    for key in table:
+        for z in dict.fromkeys(key):
+            if z in holders:
+                holders[z].append(key)
 
-        table = marginalize(g, k)
-        slices = {z: tuple(table.value((z,) + w) for w in rest) for z in comp}
+    def ratio_to(z: int, rep: int) -> Fraction | None:
+        keys = holders[z]
+        if len(keys) != len(holders[rep]):
+            return None
+        t = None
+        for key in keys:
+            swapped = list(key)
+            swapped.remove(z)
+            swapped.append(rep)
+            other = table.get(tuple(sorted(swapped)))
+            if other is None:
+                return None
+            if t is None:
+                t = table[key] / other
+            elif table[key] != t * other:
+                return None
+        return t
+
     classes: list[list[int]] = []
     ratio: dict[int, Fraction] = {}
     for z in comp:
-        if not any(slices[z]):
+        if not holders[z]:
             raise ValueError(f"element {z} has an all-zero slice; prune the domain first")
         for cls in classes:
-            t = _proportional(slices[z], slices[cls[0]])
+            t = ratio_to(z, cls[0])
             if t is not None:
                 cls.append(z)
                 ratio[z] = t
@@ -209,7 +219,9 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
 
     Checks, in order: all classes the same size; all classes the same
     multiset of min-normalized ratios; one consistent value on index-0
-    representatives across the relation.
+    representatives across the relation. The relation is read off the
+    nonzero keys made of index-0 representatives only, and scanned in
+    sorted order.
     """
     first = sc.classes[0]
     for cls in sc.classes[1:]:
@@ -246,16 +258,15 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
             )
     mu = norm_sets[0]
     index_of = {z: i for members in ordered for i, z in enumerate(members)}
-    m = len(sc.classes)
+    class_of_rep = {members[0]: c for c, members in enumerate(ordered)}
     relation: dict[tuple[int, ...], Fraction] = {}
-    for alpha in combinations_with_replacement(range(m), g.r):
-        key = tuple(sorted(ordered[c][0] for c in alpha))
-        v = g.value(key)
-        if v != 0:
-            relation[alpha] = v
+    for key, v in g.weights.items():
+        if all(z in class_of_rep for z in key):
+            relation[tuple(sorted(class_of_rep[z] for z in key))] = v
     constant = None
     first_key: tuple[int, ...] = ()
-    for alpha, v in relation.items():
+    for alpha in sorted(relation):
+        v = relation[alpha]
         if constant is None:
             constant, first_key = v, alpha
         elif v != constant:
@@ -312,6 +323,21 @@ def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitnes
     return None
 
 
+def _completion_index(relation: frozenset[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Map each (r-1)-multiset that extends into the relation to its sorted
+    completions: one entry per member alpha and distinct class c in alpha,
+    so O(|relation| * r)."""
+    index: dict[tuple[int, ...], list[int]] = {}
+    for alpha in relation:
+        for i, c in enumerate(alpha):
+            if i and alpha[i - 1] == c:
+                continue
+            index.setdefault(alpha[:i] + alpha[i + 1 :], []).append(c)
+    for completions in index.values():
+        completions.sort()
+    return index
+
+
 def latin_check(
     relation: frozenset[tuple[int, ...]],
     r: int,
@@ -321,10 +347,16 @@ def latin_check(
 ) -> HardnessWitness | None:
     """Every (r-1)-multiset of class ids must extend to the relation in
     exactly one way. reps translates class ids to element ids in evidence
-    (identity when omitted)."""
+    (identity when omitted).
+
+    Prefixes are scanned in sorted order against a completion index, and
+    every prefix before the first failure has one completion, so the scan
+    costs O(|relation| * r).
+    """
     reps = tuple(reps) if reps is not None else tuple(range(m))
+    index = _completion_index(relation)
     for prefix in combinations_with_replacement(range(m), r - 1):
-        completions = [c for c in range(m) if tuple(sorted(prefix + (c,))) in relation]
+        completions = index.get(prefix, [])
         if len(completions) != 1:
             return HardnessWitness(
                 KIND_NOT_LATIN,
@@ -337,8 +369,8 @@ def latin_check(
     return None
 
 
-def _unique_completion(relation: frozenset[tuple[int, ...]], m: int, prefix: tuple[int, ...]) -> int:
-    found = [c for c in range(m) if tuple(sorted(prefix + (c,))) in relation]
+def _unique_completion(index: Mapping[tuple[int, ...], list[int]], prefix: tuple[int, ...]) -> int:
+    found = index.get(tuple(sorted(prefix)), [])
     if len(found) != 1:
         raise ValueError(f"relation is not Latin at prefix {prefix}")
     return found[0]
@@ -363,9 +395,10 @@ def reconstruct_group(
     """
     reps = tuple(reps) if reps is not None else tuple(range(m))
     pad = (zero,) * (r - 3)
+    index = _completion_index(relation)
 
     def dot(a: int, b: int) -> int:
-        return _unique_completion(relation, m, (a, b) + pad)
+        return _unique_completion(index, (a, b) + pad)
 
     zsq = dot(zero, zero)
     dots = [[dot(a, b) for b in range(m)] for a in range(m)]
@@ -414,8 +447,9 @@ def equation_check(
     m = gs.group.order
     r = len(next(iter(relation)))
     reps = tuple(reps) if reps is not None else tuple(range(m))
+    index = _completion_index(relation)
     for prefix in combinations_with_replacement(range(m), r - 1):
-        got = _unique_completion(relation, m, prefix)
+        got = _unique_completion(index, prefix)
         total = gs.group.zero
         for c in prefix:
             total = gs.group.add(total, c)

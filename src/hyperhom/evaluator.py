@@ -11,6 +11,7 @@ program kept as a cross-check.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,30 +69,39 @@ def _check_instance(g_r: int, inst: Instance) -> None:
 
 def _dfs_plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
     """Vertex order greedy for early scope completion, plus, per depth, the
-    scopes (as position tuples) that become fully assigned there."""
+    scopes (as position tuples) that become fully assigned there.
+
+    Each step takes the unchosen vertex with the most scopes it would
+    complete, then the most scopes it touches, then the least id. The
+    touch count of an unchosen vertex never changes, and its completion
+    count only grows, when a scope drops to one unseen vertex; so a lazy
+    max-heap gives the greedy order in O((n + sum of degrees) * log n).
+    """
     n = inst.n
     scopes = inst.scopes
+    members = [tuple(set(scope)) for scope in scopes]
     touching: list[list[int]] = [[] for _ in range(n)]
-    for si, scope in enumerate(scopes):
-        for v in set(scope):
+    for si, scope in enumerate(members):
+        for v in scope:
             touching[v].append(si)
-    unseen = [len(set(s)) for s in scopes]
+    unseen = [len(scope) for scope in members]
+    completes = [sum(1 for si in touching[v] if unseen[si] == 1) for v in range(n)]
+    heap = [(-completes[v], -len(touching[v]), v) for v in range(n)]
+    heapq.heapify(heap)
     chosen = [False] * n
     order: list[int] = []
-    for _ in range(n):
-        best_v, best_key = -1, None
-        for v in range(n):
-            if chosen[v]:
-                continue
-            completes = sum(1 for si in touching[v] if unseen[si] == 1)
-            active = sum(1 for si in touching[v] if unseen[si] > 0)
-            key = (completes, active, -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        order.append(best_v)
-        chosen[best_v] = True
-        for si in touching[best_v]:
+    while heap:
+        neg_completes, _, v = heapq.heappop(heap)
+        if chosen[v] or -neg_completes != completes[v]:
+            continue
+        order.append(v)
+        chosen[v] = True
+        for si in touching[v]:
             unseen[si] -= 1
+            if unseen[si] == 1:
+                last = next(u for u in members[si] if not chosen[u])
+                completes[last] += 1
+                heapq.heappush(heap, (-completes[last], -len(touching[last]), last))
     pos = {v: i for i, v in enumerate(order)}
     completing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for scope in scopes:

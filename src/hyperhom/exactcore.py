@@ -27,13 +27,25 @@ __all__ = [
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
+def _parse_int(digits: str) -> int:
+    """int() of an optionally signed digit string at any length.
+
+    int() refuses more digits than the interpreter's limit (4300 by
+    default); those strings go through Decimal, whose conversion is exact.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` with the sign on the numerator only."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = _parse_int(m.group(1))
+    den = _parse_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)

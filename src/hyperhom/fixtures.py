@@ -9,9 +9,10 @@ by a caller-supplied random.Random so counts stay reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .abelian import AbelianGroup
@@ -60,6 +61,12 @@ def structured_family(
     prod mu[index] on multisets whose classes sum to a in the group, and
     0 otherwise. junk appends elements with no nonzero weight at the end
     (they must be pruned away by classification).
+
+    Only the support is built: every sorted (r-1)-multiset of classes is
+    completed by a - (its sum) when that class is at least its last one,
+    and each class multiset is expanded into its index multisets. The
+    cost is O(order^(r-1) + |support| * r), and keys are inserted in
+    sorted order.
     """
     offset = 0
     layout = []
@@ -75,15 +82,35 @@ def structured_family(
     q = offset + junk
     weights: dict[tuple[int, ...], Fraction] = {}
     for off, group, s, mu, a, constant in layout:
-        size = group.order * s
-        for key in combinations_with_replacement(range(off, off + size), r):
+        # index multisets of each size with their weight prod mu[index]
+        runs = [
+            [(idx, math.prod(mu[i] for i in idx))
+             for idx in combinations_with_replacement(range(s), n)]
+            for n in range(r + 1)
+        ]
+        block: list[tuple[tuple[int, ...], Fraction]] = []
+        for prefix in combinations_with_replacement(range(group.order), r - 1):
             total = group.zero
-            w = constant
-            for z in key:
-                total = group.add(total, (z - off) // s)
-                w *= mu[(z - off) % s]
-            if total == a:
-                weights[key] = w
+            for c in prefix:
+                total = group.add(total, c)
+            last = group.add(a, group.neg(total))
+            if prefix and last < prefix[-1]:
+                continue
+            alpha = prefix + (last,)
+            # one run of sorted indices per distinct class, classes ascending
+            per_class = [
+                [(tuple(off + c * s + i for i in idx), w) for idx, w in runs[alpha.count(c)]]
+                for c in dict.fromkeys(alpha)
+            ]
+            for parts in product(*per_class):
+                key: tuple[int, ...] = ()
+                w = constant
+                for elems, weight in parts:
+                    key += elems
+                    w *= weight
+                block.append((key, w))
+        block.sort()
+        weights.update(block)
     return SymFunc.from_weights(q, r, weights)
 
 

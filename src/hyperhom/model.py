@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
@@ -223,6 +223,7 @@ def load_symfunc(text: str) -> SymFunc:
     if r < 3:
         raise FormatError(3, f"arity must be at least 3, got {r}")
     weights: dict[tuple[int, ...], Fraction] = {}
+    zeros: set[tuple[int, ...]] = set()
     for lineno, line in lines:
         if "=" not in line:
             raise FormatError(lineno, f"expected '<z1> .. <zr> = <weight>', got {line!r}")
@@ -243,10 +244,14 @@ def load_symfunc(text: str) -> SymFunc:
             raise FormatError(lineno, str(exc)) from None
         if w < 0:
             raise FormatError(lineno, f"negative weight {w}")
-        if key in weights:
+        if key in weights or key in zeros:
             raise FormatError(lineno, f"duplicate key {key}")
-        weights[key] = w
-    return SymFunc.from_weights(q, r, weights)
+        if w:
+            weights[key] = w
+        else:
+            zeros.add(key)
+    # every line was checked above, so the table needs no second pass
+    return SymFunc(q, r, weights)
 
 
 def dump_symfunc(g: SymFunc) -> str:
@@ -379,8 +384,10 @@ class MarginalTable:
 def marginalize(g: SymFunc, k: int) -> MarginalTable:
     """Table of f(z1..zk) = sum over ordered (r-k)-tuples w of g(z, w).
 
-    Completions are grouped by multiset and weighted by their number of
-    orderings, so the result is exact for the ordered-sum definition.
+    Driven by the support: each nonzero key K adds g(K) times the number of
+    orderings of K - z to every distinct k-sub-multiset z of K, so the cost
+    is O(|support| * C(r, k)) whatever the domain size. Values are listed in
+    sorted key order.
     """
     if not 1 <= k <= g.r:
         raise ValueError(f"marginal arity {k} outside 1..{g.r}")
@@ -388,17 +395,16 @@ def marginalize(g: SymFunc, k: int) -> MarginalTable:
     if k == g.r:
         values.update(g.weights)
         return MarginalTable(g.q, k, values)
-    completions = [
-        (w, orderings_count(w)) for w in combinations_with_replacement(range(g.q), g.r - k)
-    ]
-    for key in combinations_with_replacement(range(g.q), k):
-        total = _ZERO
-        for w, mult in completions:
-            gv = g.weights.get(tuple(sorted(key + w)))
-            if gv is not None:
-                total += mult * gv
-        if total:
-            values[key] = total
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for key, w in g.weights.items():
+        for z in dict.fromkeys(combinations(key, k)):
+            rest = list(key)
+            for e in z:
+                rest.remove(e)
+            sums[z] = sums.get(z, _ZERO) + orderings_count(rest) * w
+    for z in sorted(sums):
+        if sums[z]:
+            values[z] = sums[z]
     return MarginalTable(g.q, k, values)
 
 
@@ -415,24 +421,26 @@ class PruneResult:
     removed: tuple[int, ...]
 
 
+def _support_elements(g: SymFunc) -> set[int]:
+    """Elements that occur in a nonzero key: with nonnegative weights, those
+    whose unary marginal is positive."""
+    return {z for key in g.weights for z in key}
+
+
 def prune_domain(g: SymFunc) -> PruneResult:
-    f1 = marginalize(g, 1)
-    kept = tuple(z for z in range(g.q) if (z,) in f1.values)
-    removed = tuple(z for z in range(g.q) if (z,) not in f1.values)
+    present = _support_elements(g)
+    kept = tuple(z for z in range(g.q) if z in present)
+    removed = tuple(z for z in range(g.q) if z not in present)
     if not removed:
         return PruneResult(g, kept, removed)
     if not kept:
         return PruneResult(SymFunc(0, g.r, {}), kept, removed)
+    # the renumbering is increasing, so renumbered keys stay sorted
     renum = {old: new for new, old in enumerate(kept)}
-    keep_set = set(kept)
-    weights = {
-        tuple(renum[z] for z in key): w
-        for key, w in g.weights.items()
-        if keep_set.issuperset(key)
-    }
-    out = SymFunc.from_weights(len(kept), g.r, weights)
-    check = marginalize(out, 1)
-    if len(check.values) != out.q:
+    out = SymFunc(
+        len(kept), g.r, {tuple(renum[z] for z in key): w for key, w in g.weights.items()}
+    )
+    if len(_support_elements(out)) != out.q:
         raise AssertionError("pruning left an element with zero unary marginal")
     return PruneResult(out, kept, removed)
 
@@ -465,13 +473,15 @@ def domain_components(g: SymFunc) -> tuple[tuple[int, ...], ...]:
     """Connected components of the binary co-occurrence relation.
 
     Requires a pruned function (every element has positive unary marginal);
-    components are sorted by least element, each listed ascending.
+    components are sorted by least element, each listed ascending. Read off
+    the nonzero keys: O(|support| * r).
     """
-    f1 = marginalize(g, 1)
-    missing = [z for z in range(g.q) if (z,) not in f1.values]
+    present = _support_elements(g)
+    missing = [z for z in range(g.q) if z not in present]
     if missing:
         raise ValueError(f"domain not pruned: zero unary marginal at {missing}")
-    root = link_roots(g.q, marginalize(g, 2).values)
+    # two elements co-occur exactly when some nonzero key holds both
+    root = link_roots(g.q, g.weights)
     groups: dict[int, list[int]] = {}
     for z in range(g.q):
         groups.setdefault(root[z], []).append(z)

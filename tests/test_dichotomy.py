@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -265,3 +266,16 @@ def test_classify_random_tables_replay():
             hard += 1
             assert replay_witness(g, cls.witness), cls.witness
     assert hard > 20  # random tables are overwhelmingly hard
+
+
+def test_classify_scale_guard_z4_cubed_arity_four():
+    # q = 64, r = 4: the table layer reads only the 11,968 nonzero keys of
+    # the 766,480 multisets, so building and classifying stay well in budget
+    started = time.perf_counter()
+    group = fx.group_from_factors(4, 4, 4)
+    g = fx.structured_family([(group, 1, (Fraction(1),), 5, Fraction(2, 3))], r=4)
+    cls = classify(g)
+    elapsed = time.perf_counter() - started
+    assert cls.tractable
+    assert [c.group.decomposition.factors for c in cls.components] == [(4, 4, 4)]
+    assert elapsed < 10.0, f"{elapsed:.1f}s"

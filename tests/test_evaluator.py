@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hyperhom.dichotomy import classify
 from hyperhom.evaluator import (
     DEFAULT_BRUTE_CAP,
     CapExceeded,
+    _dfs_plan,
     eval_bruteforce,
     eval_tractable,
     evaluate,
@@ -68,6 +70,53 @@ def test_bruteforce_deeper_than_recursion_limit():
     # q = 1 passes any cap, so the search goes one level per vertex
     one = SymFunc.from_weights(1, 3, {(0, 0, 0): Fraction(3, 2)})
     assert eval_bruteforce(one, Hypergraph(1200, ((0, 1, 2),))) == Fraction(3, 2)
+
+
+def _quadratic_plan_order(inst):
+    """The greedy vertex order written out directly: every step rescans all
+    unchosen vertices for (completes, active, -v)."""
+    touching = [[] for _ in range(inst.n)]
+    for si, scope in enumerate(inst.scopes):
+        for v in set(scope):
+            touching[v].append(si)
+    unseen = [len(set(s)) for s in inst.scopes]
+    chosen, order = [False] * inst.n, []
+    for _ in range(inst.n):
+        best = max(
+            (sum(1 for si in touching[v] if unseen[si] == 1),
+             sum(1 for si in touching[v] if unseen[si] > 0), -v)
+            for v in range(inst.n)
+            if not chosen[v]
+        )
+        v = -best[2]
+        order.append(v)
+        chosen[v] = True
+        for si in touching[v]:
+            unseen[si] -= 1
+    return order
+
+
+def test_dfs_plan_matches_quadratic_greedy():
+    rng = random.Random(7702)
+    for _ in range(60):
+        r = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            inst = fx.random_hypergraph(rng, 14, 25, r)
+        else:
+            inst = fx.random_csp(rng, 10, 20, r)
+        order, completing = _dfs_plan(inst)
+        assert order == _quadratic_plan_order(inst)
+        pos = {v: i for i, v in enumerate(order)}
+        assert sorted(p for depth in completing for p in depth) == sorted(
+            tuple(pos[v] for v in scope) for scope in inst.scopes
+        )
+
+
+def test_dfs_plan_scales_to_sparse_instances():
+    started = time.perf_counter()
+    order, _ = _dfs_plan(Hypergraph(3000, ((0, 1, 2),)))
+    assert time.perf_counter() - started < 1.0
+    assert order[:3] == [0, 1, 2] and sorted(order) == list(range(3000))
 
 
 def test_cap_guard_and_resolution(monkeypatch):

@@ -45,6 +45,16 @@ def test_format_rational_at_any_size():
     assert (len(num), len(den)) == (4818, 4772)
     assert Fraction(int(Decimal(num)), int(Decimal(den))) == big
     assert format_rational(4**8000) == num[1:]
+    assert parse_rational(format_rational(big)) == big
+
+
+def test_parse_rational_past_the_digit_limit():
+    # int() refuses strings over 4300 digits; parse_rational must not
+    den = 10**4999 + 7
+    for f in (Fraction(4**8000), Fraction(-1, den), Fraction(-(3**9000), den)):
+        assert parse_rational(format_rational(f)) == f
+    with pytest.raises(ValueError):
+        parse_rational("1/" + "0" * 5000)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))

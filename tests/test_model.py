@@ -74,6 +74,22 @@ def test_symfunc_file_round_trip():
         assert load_symfunc(dump_symfunc(g)).weights == g.weights
 
 
+def test_symfunc_file_round_trip_past_the_digit_limit():
+    den = 10**4999 + 7  # a 5000-digit denominator
+    g = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(4**8000), (0, 1, 1): Fraction(3, den)})
+    back = load_symfunc(dump_symfunc(g))
+    assert back.weights == g.weights
+
+
+def test_symfunc_file_zero_weights():
+    g = load_symfunc("symfunc v1\nq 3\nr 3\n0 0 0 = 0\n0 1 1 = 2/4\n2 2 2 = 0/3\n")
+    assert dict(g.weights) == {(0, 1, 1): Fraction(1, 2)}
+    assert prune_domain(g).removed == (2,)  # only a zero line names element 2
+    with pytest.raises(FormatError) as err:
+        load_symfunc("symfunc v1\nq 2\nr 3\n0 0 0 = 0\n0 0 0 = 1\n")
+    assert err.value.line == 5  # a zero line still claims its key
+
+
 def test_symfunc_file_errors_carry_line_numbers():
     text = "symfunc v1\nq 2\nr 3\n0 0 0 = 1\n0 0 0 = 2\n"
     with pytest.raises(FormatError) as err:
