@@ -2,11 +2,14 @@
 solutions to linear systems over Z_d.
 
 The group side is deliberately small: orders here never exceed the domain
-size of a weight function, so everything is table-driven and verified
-exhaustively. The counting side has to scale to instances with thousands
-of scopes, so count_solutions_mod routes between a Smith normal form
-formula (small systems) and modular elimination per prime power (large
-systems, with a bitset path for mod 2).
+size of a weight function, so everything is table-driven. Every group law
+is still proved on the table, but with checks that need only a generating
+set: associativity by Light's test (O(m^2 log m) lookups for a group of
+order m), the coordinate map of a decomposition on its basis (O(m * t)).
+The counting side has to scale to instances with thousands of scopes, so
+count_solutions_mod routes between a Smith normal form formula (small
+systems) and modular elimination per prime power (large systems, with a
+bitset path for mod 2).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "AbelianGroup",
     "CyclicDecomposition",
     "decompose",
+    "first_nonassociative",
     "count_solutions_mod",
     "count_homs",
     "snf",
@@ -54,17 +58,15 @@ class AbelianGroup:
             for b in range(a, n):
                 if rows[a][b] != rows[b][a]:
                     raise ValueError(f"not commutative at ({a}, {b})")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                        raise ValueError(f"not associative at ({a}, {b}, {c})")
+        triple = first_nonassociative(rows)
+        if triple is not None:
+            raise ValueError(f"not associative at {triple}")
         neg = []
         for a in range(n):
-            inv = [b for b in range(n) if rows[a][b] == zero]
-            if len(inv) != 1:
-                raise ValueError(f"element {a} has {len(inv)} inverses")
-            neg.append(inv[0])
+            found = rows[a].count(zero)
+            if found != 1:
+                raise ValueError(f"element {a} has {found} inverses")
+            neg.append(rows[a].index(zero))
         return AbelianGroup(n, rows, zero, tuple(neg))
 
     @staticmethod
@@ -128,6 +130,58 @@ class AbelianGroup:
         return k
 
 
+def first_nonassociative(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """Lex-first (a, b, c) with (a+b)+c != a+(b+c), or None when the
+    operation table[x][y] on {0..m-1} is associative.
+
+    Light's test: the elements b with (x+b)+y == x+(b+y) for all x and y
+    are closed under + (for two such b, c: (x+(b+c))+y = ((x+b)+c)+y =
+    (x+b)+(c+y) = x+(b+(c+y)) = x+((b+c)+y)), so the law holds everywhere
+    once it holds for every b of a generating set. The set is grown
+    greedily from the elements not yet reached by adding a generator on
+    either side; nothing assumes an identity, and idempotents come last
+    since an identity is reached from any other generator. For a group
+    each new generator at least doubles what is reached, so there are at
+    most log2(m) of them (one when m = 1) and the test costs
+    O(m^2 log m) lookups. Only a failing table pays for the O(m^3) scan
+    that names the lex-first triple.
+    """
+    m = len(table)
+    reached: set[int] = set()
+    gens: list[int] = []
+    for x in sorted(range(m), key=lambda e: table[e][e] == e):
+        if x in reached:
+            continue
+        gens.append(x)
+        row_x = table[x]
+        stack = [x] + [table[y][x] for y in reached] + [row_x[y] for y in reached]
+        while stack:
+            y = stack.pop()
+            if y not in reached:
+                reached.add(y)
+                row_y = table[y]
+                stack += [row_y[g] for g in gens] + [table[g][y] for g in gens]
+    for b in gens:
+        row_b = tuple(table[b])
+        for x in range(m):
+            row_x = table[x]
+            if tuple(table[row_x[b]]) != tuple([row_x[t] for t in row_b]):
+                return _lex_first_nonassociative(table)
+    return None
+
+
+def _lex_first_nonassociative(table: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    m = len(table)
+    for a in range(m):
+        row_a = table[a]
+        for b in range(m):
+            row_ab, row_b = table[row_a[b]], table[b]
+            for c in range(m):
+                if row_ab[c] != row_a[row_b[c]]:
+                    return (a, b, c)
+    raise AssertionError("Light's test failed on an associative table")
+
+
 @dataclass(frozen=True)
 class CyclicDecomposition:
     """Isomorphism with a direct sum of cyclic groups.
@@ -147,7 +201,8 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
     Each round picks a coset representative of maximal order in the
     quotient by the span built so far, shifts it inside its coset until
     its true order matches (a direct complement always exists), and
-    extends the coordinate map. The result is verified exhaustively.
+    extends the coordinate map. The result is verified on its basis by
+    _verify_decomposition.
     """
     if group.order == 1:
         return CyclicDecomposition((), ((),))
@@ -189,16 +244,35 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
 def _verify_decomposition(
     group: AbelianGroup, factors: tuple[int, ...], iso: tuple[tuple[int, ...], ...]
 ) -> None:
-    if math.prod(factors) != group.order or len(set(iso)) != group.order:
+    """Prove that iso is an isomorphism onto Z_{d_1} + ... + Z_{d_t}.
+
+    Checks that iso is a bijection onto the coordinate vectors and that
+    iso(x + e_k) == iso(x) + u_k for every x and k, where u_k is the k-th
+    unit vector and e_k = iso^-1(u_k): O(m * t) lookups in place of all
+    m^2 pairs. This suffices: at x = zero it gives iso(zero) = 0. For any
+    b, write iso(b) = (n_1..n_t) and let y = n_1 e_1 + ... + n_t e_t,
+    added one generator at a time; by associativity
+    iso(x + y) = iso(x) + (n_1..n_t) for every x, so iso(y) = iso(b), hence
+    y = b by injectivity and iso(x + b) = iso(x) + iso(b).
+    """
+    m, t = group.order, len(factors)
+    if (
+        math.prod(factors) != m
+        or len(set(iso)) != m
+        or any(len(v) != t or any(not 0 <= c < d for c, d in zip(v, factors)) for v in iso)
+    ):
         raise AssertionError("decomposition is not a bijection")
-    for i in range(len(factors) - 1):
+    for i in range(t - 1):
         if factors[i + 1] % factors[i] != 0:
             raise AssertionError(f"invariant chain broken: {factors}")
-    for a in range(group.order):
-        for b in range(group.order):
-            want = tuple((x + y) % d for x, y, d in zip(iso[a], iso[b], factors))
-            if iso[group.add(a, b)] != want:
-                raise AssertionError(f"coordinate map not additive at ({a}, {b})")
+    element = {v: x for x, v in enumerate(iso)}
+    for k, d in enumerate(factors):
+        e = element[(0,) * k + (1,) + (0,) * (t - k - 1)]
+        for x in range(m):
+            v = iso[x]
+            want = v[:k] + ((v[k] + 1) % d,) + v[k + 1 :]
+            if iso[group.add(x, e)] != want:
+                raise AssertionError(f"coordinate map not additive at ({x}, {e})")
 
 
 # ---------------------------------------------------------------------------

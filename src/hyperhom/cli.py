@@ -17,7 +17,7 @@ from typing import Any
 from . import __version__
 from .abelian import count_solutions_mod
 from .dichotomy import Classification, classify, reconstruct_group, replay_witness
-from .evaluator import CapExceeded, eval_bruteforce, evaluate
+from .evaluator import CapExceeded, eval_bruteforce, evaluate, resolve_brute_cap
 from .exactcore import IntMatrix, format_rational, snf
 from .fixtures import (
     geometric,
@@ -156,7 +156,8 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
     g = load_symfunc(_read(args.g))
     inst = load_instance(_read(args.i))
     method = _METHOD_MAP[args.method]
-    report, cls = evaluate(g, inst, method=method, cap=args.brute_cap)
+    cap = resolve_brute_cap(args.brute_cap)  # a bad cap is an error on every path
+    report, cls = evaluate(g, inst, method=method, cap=cap)
     payload: dict[str, Any] = dict(report.to_json())
     payload["instance"] = _instance_payload(inst)
     if cls is not None:

@@ -15,12 +15,13 @@ be read against the input table directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
-from .abelian import AbelianGroup, CyclicDecomposition, decompose
+from .abelian import AbelianGroup, CyclicDecomposition, decompose, first_nonassociative
 from .exactcore import format_rational, parse_rational
 from .model import SymFunc, domain_components, marginalize, prune_domain
 
@@ -299,23 +300,41 @@ def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitnes
     Redundant once check_product_structure has passed on exact classes,
     but catches table/structure mismatches independently, which is what
     makes witnesses replayable from the table alone.
+
+    For a relation member alpha, an index vector ivec picks z with index
+    ivec[j] in class alpha[j], and U_i takes index i in every class of
+    alpha. A uniform ivec gives z = U_i and g(U_i)^r on both sides, so it
+    is skipped. Permuting ivec within a run of equal classes in alpha
+    keeps z and both sides, so one vector per key is checked: the one
+    non-decreasing within each run, which comes first in product order,
+    so the first failure is the one a scan of all s^r vectors would find.
+    The s values g(U_i) are looked up once per alpha; at s = 1 nothing is
+    left to check.
     """
+    if fs.s == 1:
+        return None
     r = g.r
     for alpha in sorted(fs.relation):
-        for ivec in product(range(fs.s), repeat=r):
+        uniform = [tuple(fs.classes[c][i] for c in alpha) for i in range(fs.s)]
+        uniform_value = [g.value(u) for u in uniform]
+        runs = [
+            combinations_with_replacement(range(fs.s), alpha.count(c))
+            for c in dict.fromkeys(alpha)
+        ]
+        for parts in product(*runs):
+            ivec = sum(parts, ())
+            if ivec.count(ivec[0]) == r:
+                continue
             z = tuple(fs.classes[c][i] for c, i in zip(alpha, ivec))
             lhs = g.value(z) ** r
-            uniform = [tuple(fs.classes[c][i] for c in alpha) for i in ivec]
-            rhs = Fraction(1)
-            for tup in uniform:
-                rhs *= g.value(tup)
+            rhs = math.prod((uniform_value[i] for i in ivec), start=Fraction(1))
             if lhs != rhs:
                 return HardnessWitness(
                     KIND_FACTORING_IDENTITY_VIOLATION,
                     fs.component,
                     {
                         "elements": sorted(z),
-                        "uniform": [sorted(t) for t in uniform],
+                        "uniform": [sorted(uniform[i]) for i in ivec],
                         "lhs": format_rational(lhs),
                         "rhs": format_rational(rhs),
                     },
@@ -390,12 +409,16 @@ def reconstruct_group(
     then a + b = dot(zero, dot(a, b)), the negation is dot(., dot(zero,
     zero)), and the equation target is dot(zero, zero). Identity,
     inverses, and commutativity hold by symmetry of the relation; the
-    content is associativity, which is checked exhaustively and witnessed
-    on failure.
+    content is associativity, which first_nonassociative decides by
+    Light's test in O(m^2 log m) and witnesses by its lex-first failing
+    triple. Only members holding zero^(r-3) complete such a prefix, so
+    only they are indexed.
     """
     reps = tuple(reps) if reps is not None else tuple(range(m))
     pad = (zero,) * (r - 3)
-    index = _completion_index(relation)
+    index = _completion_index(
+        frozenset(alpha for alpha in relation if alpha.count(zero) >= r - 3)
+    )
 
     def dot(a: int, b: int) -> int:
         return _unique_completion(index, (a, b) + pad)
@@ -410,21 +433,18 @@ def reconstruct_group(
         for b in range(m):
             if add[a][b] != add[b][a]:
                 raise AssertionError("derived operation lost commutativity")
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                left = add[add[a][b]][c]
-                right = add[a][add[b][c]]
-                if left != right:
-                    return HardnessWitness(
-                        KIND_NOT_ASSOCIATIVE,
-                        tuple(component),
-                        {
-                            "triple": [reps[a], reps[b], reps[c]],
-                            "left": reps[left],
-                            "right": reps[right],
-                        },
-                    )
+    triple = first_nonassociative(add)
+    if triple is not None:
+        a, b, c = triple
+        return HardnessWitness(
+            KIND_NOT_ASSOCIATIVE,
+            tuple(component),
+            {
+                "triple": [reps[a], reps[b], reps[c]],
+                "left": reps[add[add[a][b]][c]],
+                "right": reps[add[a][add[b][c]]],
+            },
+        )
     group = AbelianGroup.from_add_table(add)
     if group.zero != zero:
         raise AssertionError("derived identity differs from the designated zero")
@@ -443,17 +463,27 @@ def equation_check(
     reps: Sequence[int] | None = None,
 ) -> HardnessWitness | None:
     """The unique completion of every (r-1)-multiset must equal
-    a - sum(prefix) in the reconstructed group."""
-    m = gs.group.order
+    a - sum(prefix) in the reconstructed group.
+
+    The relation must be Latin (latin_check has passed); then the check
+    holds exactly when every member sums to a. If a member alpha does not,
+    the prefix alpha minus its last class has that class as its only
+    completion, and it differs from a - sum(prefix). If every member
+    does, the completion c of each prefix makes a member, so c = a -
+    sum(prefix). So the members are summed, O(|relation| * r), and only
+    on a mismatch are the prefixes scanned in sorted order; the first
+    failing one is the witness.
+    """
+    group = gs.group
+    if all(_group_sum(group, alpha) == gs.a for alpha in relation):
+        return None
+    m = group.order
     r = len(next(iter(relation)))
     reps = tuple(reps) if reps is not None else tuple(range(m))
     index = _completion_index(relation)
     for prefix in combinations_with_replacement(range(m), r - 1):
         got = _unique_completion(index, prefix)
-        total = gs.group.zero
-        for c in prefix:
-            total = gs.group.add(total, c)
-        expected = gs.group.add(gs.a, gs.group.neg(total))
+        expected = group.add(gs.a, group.neg(_group_sum(group, prefix)))
         if got != expected:
             return HardnessWitness(
                 KIND_EQUATION_MISMATCH,
@@ -464,7 +494,15 @@ def equation_check(
                     "expected": reps[expected],
                 },
             )
-    return None
+    raise AssertionError("a relation member misses the target but no prefix does")
+
+
+def _group_sum(group: AbelianGroup, classes: Sequence[int]) -> int:
+    table = group.add_table
+    total = group.zero
+    for c in classes:
+        total = table[total][c]
+    return total
 
 
 def classify(g: SymFunc) -> Classification:

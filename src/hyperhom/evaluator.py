@@ -47,15 +47,22 @@ class CapExceeded(RuntimeError):
 
 
 def resolve_brute_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    if env is not None:
+    """The cap on q^n: the argument, then HYPERHOM_BRUTE_CAP, then the
+    default. 0 refuses every brute-force evaluation; a negative or
+    non-integer value raises ValueError."""
+    if cap is None:
+        env = os.environ.get(_CAP_ENV)
+        if env is None:
+            return DEFAULT_BRUTE_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ValueError(f"bad {_CAP_ENV} value {env!r}") from exc
-    return DEFAULT_BRUTE_CAP
+        if cap < 0:
+            raise ValueError(f"bad {_CAP_ENV} value {env!r}: the cap must be at least 0")
+    elif cap < 0:
+        raise ValueError(f"bad brute-force cap {cap}: the cap must be at least 0")
+    return cap
 
 
 def _check_instance(g_r: int, inst: Instance) -> None:

@@ -20,7 +20,7 @@ from hyperhom.evaluator import (
     lambda_factor_direct,
     lambda_monomial_dp,
 )
-from hyperhom.exactcore import IntMatrix, det_int, snf
+from hyperhom.exactcore import IntMatrix, snf
 from hyperhom.gadgets import (
     InterpolationPlan,
     component_separator,
@@ -36,6 +36,7 @@ from hyperhom.gadgets import (
     vertex_power,
 )
 from hyperhom.model import CspInstance, Hypergraph, MarginalTable, degrees, marginalize
+from test_exactcore import det_int
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
 

@@ -162,6 +162,29 @@ def test_eval_cap_exceeded(files, capsys, tmp_path):
     assert "cap" in report["payload"]["message"]
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "abc"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_eval_brute_cap_values(files, capsys, monkeypatch, via, value):
+    monkeypatch.delenv("HYPERHOM_BRUTE_CAP", raising=False)
+    cap = []
+    if via == "flag":
+        cap = ["--brute-cap", value]
+    else:
+        monkeypatch.setenv("HYPERHOM_BRUTE_CAP", value)
+    for method in ("brute", "auto"):  # parity is tractable: auto never runs brute force
+        argv = ["eval", "-g", files["parity"], "-i", files["edge3"], "--method", method, *cap]
+        code, report, _ = run_cli(capsys, *argv)
+        if value == "0" and method == "auto":
+            assert code == 0 and report["payload"]["value"] == "4"
+            continue
+        assert code == 1 and report["status"] == "error"
+        message = report["payload"]["message"]
+        if value == "0":  # 0 refuses every brute-force evaluation
+            assert "2^3 assignments exceed the configured cap 0" in message
+        else:
+            assert value in message and "exceed" not in message
+
+
 def test_gadget_commands(files, capsys):
     code, report, _ = run_cli(capsys, "gadget", "pad", "-i", files["tri"], "-r", "3")
     assert code == 0

@@ -136,6 +136,31 @@ def test_cap_guard_and_resolution(monkeypatch):
     assert eval_bruteforce(fx.parity(), small) == 8192
 
 
+def test_cap_rejects_negative_and_malformed_values(monkeypatch):
+    edge = Hypergraph(3, ((0, 1, 2),))
+    monkeypatch.delenv("HYPERHOM_BRUTE_CAP", raising=False)
+    with pytest.raises(ValueError, match="-1"):
+        resolve_brute_cap(-1)
+    with pytest.raises(ValueError, match="-1"):
+        eval_bruteforce(fx.parity(), edge, cap=-1)
+    assert resolve_brute_cap(0) == 0
+    with pytest.raises(CapExceeded, match="cap 0"):
+        eval_bruteforce(fx.parity(), edge, cap=0)
+    with pytest.raises(CapExceeded, match="cap 0"):
+        eval_bruteforce(fx.parity(), Hypergraph(0, ()), cap=0)  # even one assignment
+    for bad in ("-1", "abc", "1.5", ""):
+        monkeypatch.setenv("HYPERHOM_BRUTE_CAP", bad)
+        with pytest.raises(ValueError, match=f"HYPERHOM_BRUTE_CAP value {bad!r}"):
+            resolve_brute_cap(None)
+        with pytest.raises(ValueError, match="HYPERHOM_BRUTE_CAP"):
+            eval_bruteforce(fx.parity(), edge)
+        assert resolve_brute_cap(5) == 5  # an explicit argument never reads the variable
+    monkeypatch.setenv("HYPERHOM_BRUTE_CAP", "0")
+    assert resolve_brute_cap(None) == 0
+    with pytest.raises(CapExceeded, match="cap 0"):
+        eval_bruteforce(fx.parity(), edge)
+
+
 def test_lambda_factor_direct_examples():
     mixed_fs = classify(fx.mixed()).components[0].factor
     geom_fs = classify(fx.geometric()).components[0].factor

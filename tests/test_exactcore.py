@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from hyperhom.exactcore import (
     IntMatrix,
-    det_int,
     format_rational,
     lcm_all,
     parse_rational,
@@ -67,6 +66,32 @@ def test_lcm_all():
     assert lcm_all([2, 3, 4]) == 12
     assert lcm_all([7]) == 7
     assert lcm_all([]) == 1
+
+
+def det_int(m: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination (the unimodularity
+    check of the SNF transforms; test_acceptance imports it from here)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def test_matrix_basics():
