@@ -7,9 +7,8 @@ is still proved on the table, but with checks that need only a generating
 set: associativity by Light's test (O(m^2 log m) lookups for a group of
 order m), the coordinate map of a decomposition on its basis (O(m * t)).
 The counting side has to scale to instances with thousands of scopes, so
-count_solutions_mod routes between a Smith normal form formula (small
-systems) and modular elimination per prime power (large systems, with a
-bitset path for mod 2).
+count_solutions_mod counts by elimination per prime power of the modulus
+(a bitset path for mod 2), one route for every system size.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactcore import IntMatrix, SnfResult, snf
+from .exactcore import IntMatrix
 from .model import Instance
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "first_nonassociative",
     "count_solutions_mod",
     "count_homs",
-    "snf",
-    "SnfResult",
 ]
 
 
@@ -278,16 +275,17 @@ def _verify_decomposition(
 # ---------------------------------------------------------------------------
 # linear systems over Z_d
 
+# Nothing in src/ reads this, since every system is counted per prime
+# power; perfbench/test_perfbench.py still imports it.
 _SNF_CELL_LIMIT = 20_000
 
 
 def count_solutions_mod(m: IntMatrix, c: Sequence[int], d: int) -> int:
     """Number of x in (Z_d)^n with M x = c over Z_d.
 
-    Small systems go through the Smith normal form U M V = S: with
-    c' = U c the count is prod_i gcd(s_i, d) * d^(n-m) when every
-    congruence is satisfiable, else 0. Large systems are counted per
-    prime power of d and combined by the Chinese remainder theorem.
+    The count is taken per prime power p^e of d and the parts are
+    multiplied (Chinese remainder theorem): a GF(2) bitset echelon for
+    p^e = 2, minimum-valuation elimination over Z_{p^e} otherwise.
     """
     if d < 1:
         raise ValueError(f"modulus must be positive, got {d}")
@@ -295,8 +293,6 @@ def count_solutions_mod(m: IntMatrix, c: Sequence[int], d: int) -> int:
         raise ValueError(f"right-hand side has {len(c)} entries for {m.rows} rows")
     if d == 1:
         return 1
-    if m.rows * m.cols <= _SNF_CELL_LIMIT:
-        return _count_via_snf(m, c, d)
     total = 1
     for p, e in _factorize(d):
         if p == 2 and e == 1:
@@ -307,24 +303,6 @@ def count_solutions_mod(m: IntMatrix, c: Sequence[int], d: int) -> int:
             return 0
         total *= part
     return total
-
-
-def _count_via_snf(m: IntMatrix, c: Sequence[int], d: int) -> int:
-    res = snf(m)
-    cp = [sum(u * ci for u, ci in zip(row, c)) for row in res.U.entries]
-    diag = res.S.diagonal()
-    count = 1
-    for i in range(m.rows):
-        if i < len(diag):
-            g = math.gcd(diag[i], d)
-            if cp[i] % g != 0:
-                return 0
-            count *= g
-        elif cp[i] % d != 0:
-            return 0
-    if m.cols > m.rows:
-        count *= d ** (m.cols - m.rows)
-    return count
 
 
 def _factorize(d: int) -> list[tuple[int, int]]:

@@ -4,10 +4,11 @@ A function is polynomial-time evaluable exactly when, on every connected
 component of its (pruned) domain, it factors as a product of per-element
 weights times a 0/1 relation on similarity classes, and that relation is
 the solution set of one linear equation over a finite Abelian group on
-the classes. classify() runs the full decision pipeline and returns
-either the per-component structure or a machine-checkable witness of the
-first failed check; replay_witness() re-verifies a witness against the
-table it came from.
+the classes. classify() runs five stages on each component (similarity
+classes, product structure, Latin check, group reconstruction, equation
+check) and returns either the per-component structure or a
+machine-checkable witness of the first failed check; replay_witness()
+re-verifies a witness against the table it came from.
 
 All structures refer to elements by their original ids, so results can
 be read against the input table directly.
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, CyclicDecomposition, decompose, first_nonassociative
 from .exactcore import format_rational, parse_rational
-from .model import SymFunc, domain_components, marginalize, prune_domain
+from .model import SymFunc, domain_components, prune_domain
 
 __all__ = [
     "KIND_UNEQUAL_CLASS_SIZES",
@@ -155,10 +156,9 @@ class Classification:
     witness: HardnessWitness | None
 
 
-def sim_classes(g: SymFunc, component: Sequence[int], k: int | None = None) -> SimClasses:
-    """Group component elements whose arity-k slices are proportional.
+def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
+    """Group component elements whose slices are proportional.
 
-    k defaults to the full arity; lower k is used by consistency tests.
     Classes are ordered by least element, members ascending.
 
     The slice of z is kept sparse, as the list of nonzero keys holding z.
@@ -168,12 +168,8 @@ def sim_classes(g: SymFunc, component: Sequence[int], k: int | None = None) -> S
     representative costs O(|slice| * r) table lookups, and mismatches
     usually show at the first key.
     """
-    if k is None:
-        k = g.r
-    if not 2 <= k <= g.r:
-        raise ValueError(f"slice arity {k} outside 2..{g.r}")
     comp = tuple(sorted(component))
-    table = g.weights if k == g.r else marginalize(g, k).values
+    table = g.weights
     holders: dict[int, list[tuple[int, ...]]] = {z: [] for z in comp}
     for key in table:
         for z in dict.fromkeys(key):
@@ -223,6 +219,24 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     representatives across the relation. The relation is read off the
     nonzero keys made of index-0 representatives only, and scanned in
     sorted order.
+
+    A returned structure satisfies the factoring identity on every key of
+    the component, so verify_factoring_identity has nothing left to find.
+    sim_classes accepts z into the class of rep only when swapping one z
+    for rep maps the nonzero keys holding z into those holding rep with
+    g(K) = ratio[z] * g(K - z + rep); the swap is injective, and the two
+    key lists have the same length, so it is a bijection. Hence
+    g(z + w) = ratio[z] * g(rep + w) for every (r-1)-multiset w, both
+    sides 0 included. Swapping the members of a key K one at a time for their
+    representatives gives g(K) = prod_j ratio[z_j] * g(R), where R holds
+    the representatives of K's classes alpha. In class c, ratio[z] =
+    low_c * mu[index(z)], with low_c the ratio of index 0, since every
+    class has the normalized ratios mu; so the key E of index-0 members
+    of alpha has g(E) = prod_j low_{c_j} * g(R), and g(K) = prod_j
+    mu[i_j] * g(E). The relation holds exactly the alpha with g(E) != 0,
+    and all of them have g(E) = constant, so g(K) = constant * prod_j
+    mu[i_j] when alpha is in the relation and 0 otherwise. Then both
+    sides of the identity are constant^r * prod_j mu[i_j]^r.
     """
     first = sc.classes[0]
     for cls in sc.classes[1:]:
@@ -297,9 +311,10 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
 def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitness | None:
     """Check g(z)^r == prod over positions of g at uniform per-factor index.
 
-    Redundant once check_product_structure has passed on exact classes,
-    but catches table/structure mismatches independently, which is what
-    makes witnesses replayable from the table alone.
+    classify does not call this: a structure that check_product_structure
+    returned for g satisfies it (proof there). It stays as a check that
+    reads only the table, for a structure paired with another table, and
+    its witness kind replays from the table alone.
 
     For a relation member alpha, an index vector ivec picks z with index
     ivec[j] in class alpha[j], and U_i takes index i in every class of
@@ -408,11 +423,12 @@ def reconstruct_group(
     With a designated zero class, dot(a, b) completes (a, b, zero^(r-3));
     then a + b = dot(zero, dot(a, b)), the negation is dot(., dot(zero,
     zero)), and the equation target is dot(zero, zero). Identity,
-    inverses, and commutativity hold by symmetry of the relation; the
-    content is associativity, which first_nonassociative decides by
-    Light's test in O(m^2 log m) and witnesses by its lex-first failing
-    triple. Only members holding zero^(r-3) complete such a prefix, so
-    only they are indexed.
+    inverses, and commutativity hold by symmetry of the relation and are
+    asserted below; the content is associativity, which
+    first_nonassociative decides by Light's test in O(m^2 log m) and
+    witnesses by its lex-first failing triple. With all four settled the
+    group is built from the derived tables directly. Only members holding
+    zero^(r-3) complete such a prefix, so only they are indexed.
     """
     reps = tuple(reps) if reps is not None else tuple(range(m))
     pad = (zero,) * (r - 3)
@@ -445,9 +461,7 @@ def reconstruct_group(
                 "right": reps[add[a][add[b][c]]],
             },
         )
-    group = AbelianGroup.from_add_table(add)
-    if group.zero != zero:
-        raise AssertionError("derived identity differs from the designated zero")
+    group = AbelianGroup(m, tuple(map(tuple, add)), zero, tuple(neg))
     for a in range(m):
         for b in range(m):
             want = add[neg[add[a][b]]][zsq]  # dot(a, b) == -(a+b) + dot(zero, zero)
@@ -509,10 +523,12 @@ def classify(g: SymFunc) -> Classification:
     """Full dichotomy decision.
 
     Prunes zero-marginal elements, splits the domain into co-occurrence
-    components, and on each component runs: similarity classes, product
-    structure, factoring identity, Latin check, group reconstruction,
-    equation check. The first failure becomes the witness; otherwise the
-    per-component structures are returned.
+    components, and on each component runs five stages: similarity
+    classes, product structure, Latin check, group reconstruction,
+    equation check. The product structure implies the factoring identity
+    (see check_product_structure), so it is not checked again. The first
+    failure becomes the witness; otherwise the per-component structures
+    are returned.
     """
     pr = prune_domain(g)
     if not pr.kept:
@@ -526,9 +542,6 @@ def classify(g: SymFunc) -> Classification:
         fs = check_product_structure(g, sc)
         if isinstance(fs, HardnessWitness):
             return Classification(g, False, pr.kept, pr.removed, (), fs)
-        w = verify_factoring_identity(g, fs)
-        if w is not None:
-            return Classification(g, False, pr.kept, pr.removed, (), w)
         m = len(fs.classes)
         w = latin_check(fs.relation, g.r, m, comp, fs.reps)
         if w is not None:

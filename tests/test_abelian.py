@@ -1,11 +1,12 @@
 """Groups, invariant-factor decomposition, and modular system counting."""
 
+import math
 import random
 from itertools import product
 
 import pytest
 
-import hyperhom.abelian as ab
+from hyperhom import fixtures as fx
 from hyperhom.abelian import (
     AbelianGroup,
     count_homs,
@@ -13,7 +14,7 @@ from hyperhom.abelian import (
     decompose,
     occurrence_matrix,
 )
-from hyperhom.exactcore import IntMatrix
+from hyperhom.exactcore import IntMatrix, snf
 from hyperhom.model import CspInstance, Hypergraph
 
 
@@ -125,10 +126,32 @@ def test_count_solutions_random_vs_enumeration():
         assert count_solutions_mod(m, c, d) == _count_by_enumeration(m, c, d)
 
 
-def test_count_solutions_elimination_route(monkeypatch):
-    # force the large-system route and check it against the SNF route
+def snf_counter(m: IntMatrix):
+    """Reference count from the Smith normal form U M V = S: with c' = U c,
+    prod_i gcd(s_i, d) * d^(cols - rows) when every congruence is
+    satisfiable, else 0. One decomposition serves every (c, d)."""
+    res = snf(m)
+    diag = res.S.diagonal()
+
+    def count(c, d: int) -> int:
+        cp = [sum(u * ci for u, ci in zip(row, c)) for row in res.U.entries]
+        total = 1
+        for i in range(m.rows):
+            g = math.gcd(diag[i], d) if i < len(diag) else d
+            if cp[i] % g != 0:
+                return 0
+            if i < len(diag):
+                total *= g
+        return total * d ** max(m.cols - m.rows, 0)
+
+    return count
+
+
+def test_count_solutions_elimination_route():
+    # elimination per prime power against the Smith normal form formula,
+    # on small random systems and on occurrence matrices of small CSP
+    # instances (repeated variables) and of connected hypergraphs
     rng = random.Random(99)
-    cases = []
     for _ in range(40):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
@@ -137,10 +160,26 @@ def test_count_solutions_elimination_route(monkeypatch):
             [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         )
         c = [rng.randint(-6, 6) for _ in range(rows)]
-        cases.append((m, c, d, count_solutions_mod(m, c, d)))
-    monkeypatch.setattr(ab, "_SNF_CELL_LIMIT", 0)
-    for m, c, d, want in cases:
-        assert count_solutions_mod(m, c, d) == want
+        assert count_solutions_mod(m, c, d) == snf_counter(m)(c, d)
+    rng = random.Random(2024)
+    counts = []
+    for _ in range(200):
+        occ = occurrence_matrix(fx.random_csp(rng, 8, 12, rng.choice((3, 4))))
+        d = rng.choice([2, 3, 4, 6, 8, 9, 12])
+        c = [rng.randrange(d)] * occ.rows
+        assert count_solutions_mod(occ, c, d) == snf_counter(occ)(c, d), (occ.entries, d, c[:1])
+    for d in (2, 3, 4, 6, 8, 9, 12) * 2:
+        n = rng.randint(30, 100)
+        inst = fx.random_connected_hypergraph(rng, n, rng.randint(2 * n, 3 * n), rng.choice((3, 4)))
+        occ = occurrence_matrix(inst)
+        reference = snf_counter(occ)
+        targets = [[a] * occ.rows for a in range(d)] + [[rng.randrange(d) for _ in range(occ.rows)]]
+        for c in targets:
+            want = reference(c, d)
+            assert count_solutions_mod(occ, c, d) == want, (n, occ.rows, d, c[0])
+            counts.append(want)
+    # both answers occur: unsolvable targets and solution sets of size > 1
+    assert 0 in counts and max(counts) > 1
 
 
 def test_occurrence_matrix():

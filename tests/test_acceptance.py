@@ -152,16 +152,14 @@ def test_criterion_3_hardness_witnesses(record_acceptance):
             ("Steiner triple system", fx.steiner_fano(), "NotAssociative"),
             # one perturbed weight: the high-index weight of the second
             # class moves from 3 to 5 (a single weight parameter)
-            ("perturbed weight", fx.mixed_skewed(),
-             ("FactoringIdentityViolation", "RatioMultisetMismatch")),
+            ("perturbed weight", fx.mixed_skewed(), "RatioMultisetMismatch"),
             ("deleted element", fx.mixed_missing_element(), "UnequalClassSizes"),
         ]
         kinds = []
         for label, g, want in cases:
             cls = classify(g)
             assert not cls.tractable, label
-            allowed = want if isinstance(want, tuple) else (want,)
-            assert cls.witness.kind in allowed, (label, cls.witness.kind, want)
+            assert cls.witness.kind == want, (label, cls.witness.kind, want)
             assert replay_witness(g, cls.witness), label
             kinds.append(cls.witness.kind)
         return "kinds " + ", ".join(kinds) + "; all replayed"

@@ -32,24 +32,10 @@ def test_sim_classes_fixtures():
     assert sim_classes(fx.mixed(), (0, 1, 2, 3)).classes == ((0, 1), (2, 3))
 
 
-def test_sim_classes_lower_arity_refined_by_full():
-    # lower-arity slices can merge classes (parity's 2-marginal is constant)
-    # but never split them: each full class sits inside one low class
-    for g in (fx.parity(), fx.geometric(), fx.mixed()):
-        full = sim_classes(g, tuple(range(g.q)))
-        low = sim_classes(g, tuple(range(g.q)), k=2)
-        containing = {z: i for i, cls in enumerate(low.classes) for z in cls}
-        for cls in full.classes:
-            assert len({containing[z] for z in cls}) == 1
-    assert sim_classes(fx.geometric(), (0, 1), k=2).classes == ((0, 1),)
-
-
 def test_sim_classes_rejects_zero_slice():
     g = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1)})
     with pytest.raises(ValueError):
         sim_classes(g, (0, 1))
-    with pytest.raises(ValueError):
-        sim_classes(fx.parity(), (0, 1), k=1)
 
 
 def test_product_structure_mixed():

@@ -27,6 +27,7 @@ from hyperhom.abelian import (
 )
 from hyperhom.dichotomy import (
     KIND_FACTORING_IDENTITY_VIOLATION,
+    FactorStructure,
     GroupStructure,
     check_product_structure,
     equation_check,
@@ -36,7 +37,7 @@ from hyperhom.dichotomy import (
     verify_factoring_identity,
 )
 from hyperhom.exactcore import format_rational
-from hyperhom.model import SymFunc
+from hyperhom.model import SymFunc, domain_components, prune_domain
 
 # ---------------------------------------------------------------------------
 # full-scan references
@@ -246,11 +247,11 @@ def test_associativity_work_is_log_m_rows_per_element():
 # factoring identity
 
 
-def _doctor(rng: random.Random, g: SymFunc, fs) -> SymFunc:
-    """Change one to three weights on keys made of the component's classes."""
+def _doctor(rng: random.Random, g: SymFunc, fs, most: int = 3) -> SymFunc:
+    """Change one to `most` weights on keys made of the component's classes."""
     weights = dict(g.weights)
     members = [z for cls in fs.classes for z in cls]
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, most)):
         key = tuple(sorted(rng.choice(members) for _ in range(g.r)))
         move = rng.choice(("scale", "scale", "drop", "set"))
         if move == "scale" and key in weights:
@@ -284,6 +285,30 @@ def test_factoring_identity_matches_full_scan_on_doctored_tables():
         assert w.kind == KIND_FACTORING_IDENTITY_VIOLATION and w.evidence == ev
         assert replay_witness(doctored, w)
     assert found >= 60
+
+
+def test_product_structure_implies_factoring_identity():
+    # classify skips the factoring identity: on every component of a
+    # doctored table where the product structure still passes, it holds
+    rng = random.Random(6607)
+    reached = 0
+    for _ in range(2000):
+        group = fx.group_from_factors(*rng.choice([(), (2,), (3,), (2, 2), (4,)]))
+        s, r = rng.choice((2, 3)), rng.choice((3, 4))
+        mu = [Fraction(1)] + [Fraction(rng.randint(2, 7), rng.randint(1, 3)) for _ in range(s - 1)]
+        a = rng.randrange(group.order)
+        g = fx.structured_family([(group, s, sorted(mu), a, Fraction(rng.randint(1, 5), 2))], r=r)
+        fs = check_product_structure(g, sim_classes(g, tuple(range(g.q))))
+        doctored = _doctor(rng, g, fs, most=2)
+        pr = prune_domain(doctored)
+        for comp in domain_components(pr.func):
+            comp = tuple(pr.kept[z] for z in comp)
+            fs = check_product_structure(doctored, sim_classes(doctored, comp))
+            if isinstance(fs, FactorStructure):
+                reached += 1
+                assert verify_factoring_identity(doctored, fs) is None
+                assert full_factoring_scan(doctored, fs) is None
+    assert reached >= 50
 
 
 def test_factoring_identity_has_nothing_to_check_at_s1():

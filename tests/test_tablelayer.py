@@ -23,7 +23,6 @@ from hyperhom.dichotomy import (
     reconstruct_group,
     replay_witness,
     sim_classes,
-    verify_factoring_identity,
 )
 from hyperhom.exactcore import format_rational
 from hyperhom.model import SymFunc, link_roots, marginalize
@@ -55,10 +54,9 @@ def _proportional(va, vb):
     return t
 
 
-def dense_sim_classes(g: SymFunc, comp, k: int):
-    table = g.weights if k == g.r else dense_marginal(g, k)
-    rest = list(combinations_with_replacement(range(g.q), k - 1))
-    slices = {z: [table.get(tuple(sorted((z,) + w)), 0) for w in rest] for z in comp}
+def dense_sim_classes(g: SymFunc, comp):
+    rest = list(combinations_with_replacement(range(g.q), g.r - 1))
+    slices = {z: [g.value((z,) + w) for w in rest] for z in comp}
     classes, ratio = [], {}
     for z in comp:
         for cls in classes:
@@ -142,7 +140,7 @@ def dense_classify(g: SymFunc):
     factors = []
     for least in sorted(comps):
         comp = tuple(comps[least])
-        classes, ratio = dense_sim_classes(g, comp, g.r)
+        classes, ratio = dense_sim_classes(g, comp)
         first = classes[0]
         for cls in classes[1:]:
             if len(cls) != len(first):
@@ -179,9 +177,6 @@ def dense_classify(g: SymFunc):
         fs = FactorStructure(comp, tuple(ordered), len(first),
                              {z: i for cls in ordered for i, z in enumerate(cls)},
                              norm_sets[0], constant, frozenset(relation))
-        w = verify_factoring_identity(g, fs)
-        if w is not None:
-            return False, None, (w.kind, w.component, w.evidence)
         ev = dense_latin(fs.relation, g.r, m)
         if ev is not None:
             ev = {"prefix": [reps[c] for c in ev["prefix"]],
@@ -234,11 +229,10 @@ def test_marginalize_matches_ordered_sum(g):
 @given(small_tables())
 def test_sim_classes_match_dense_slices(g):
     comp = tuple(sorted({z for key in g.weights for z in key}))
-    for k in range(2, g.r + 1):
-        sc = sim_classes(g, comp, k)
-        classes, ratio = dense_sim_classes(g, comp, k)
-        assert sc.classes == classes
-        assert sc.ratio == ratio
+    sc = sim_classes(g, comp)
+    classes, ratio = dense_sim_classes(g, comp)
+    assert sc.classes == classes
+    assert sc.ratio == ratio
 
 
 def test_sim_classes_match_dense_on_structured_tables():
@@ -246,9 +240,8 @@ def test_sim_classes_match_dense_on_structured_tables():
     for _ in range(30):
         g = fx.random_tractable(rng, rng.randint(2, 7), rng.choice((3, 4)))
         comp = tuple(sorted({z for key in g.weights for z in key}))
-        for k in (2, g.r):
-            sc = sim_classes(g, comp, k)
-            assert (sc.classes, sc.ratio) == dense_sim_classes(g, comp, k)
+        sc = sim_classes(g, comp)
+        assert (sc.classes, sc.ratio) == dense_sim_classes(g, comp)
 
 
 def test_structured_family_matches_dense_construction():
