@@ -16,7 +16,7 @@ from typing import Any
 
 from . import __version__
 from .abelian import count_solutions_mod
-from .dichotomy import Classification, classify, reconstruct_group, replay_witness
+from .dichotomy import Classification, classify, latin_check, reconstruct_group, replay_witness
 from .evaluator import CapExceeded, eval_bruteforce, evaluate, resolve_brute_cap
 from .exactcore import IntMatrix, format_rational, snf
 from .fixtures import (
@@ -231,7 +231,7 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
         _expect("kind", cls.witness.kind, kind)
         checks.append(_expect(f"replay {kind}", replay_witness(g, cls.witness), True))
 
-    gs = reconstruct_group(shifted_mod4_relation(), 3, 4, zero=1)
+    gs = reconstruct_group(latin_check(shifted_mod4_relation(), 3, 4), 3, 4, zero=1)
     _expect("shifted zero target", gs.a, 2)
     checks.append(_expect("shifted factors", gs.decomposition.factors, (4,)))
 

@@ -357,19 +357,24 @@ def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitnes
     return None
 
 
-def _completion_index(relation: frozenset[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Map each (r-1)-multiset that extends into the relation to its sorted
-    completions: one entry per member alpha and distinct class c in alpha,
-    so O(|relation| * r)."""
-    index: dict[tuple[int, ...], list[int]] = {}
+def _completion_index(
+    relation: frozenset[tuple[int, ...]],
+) -> tuple[dict[tuple[int, ...], int], set[tuple[int, ...]]]:
+    """Map each (r-1)-multiset that extends into the relation to a
+    completion, and collect those with several: one entry per member and
+    distinct class in it, O(|relation| * r). A member is its prefix plus
+    the completion, so two members meeting at a prefix complete it
+    differently."""
+    index: dict[tuple[int, ...], int] = {}
+    clashes: set[tuple[int, ...]] = set()
     for alpha in relation:
         for i, c in enumerate(alpha):
             if i and alpha[i - 1] == c:
                 continue
-            index.setdefault(alpha[:i] + alpha[i + 1 :], []).append(c)
-    for completions in index.values():
-        completions.sort()
-    return index
+            prefix = alpha[:i] + alpha[i + 1 :]
+            if index.setdefault(prefix, c) != c:
+                clashes.add(prefix)
+    return index, clashes
 
 
 def latin_check(
@@ -378,47 +383,47 @@ def latin_check(
     m: int,
     component: Sequence[int] = (),
     reps: Sequence[int] | None = None,
-) -> HardnessWitness | None:
+) -> dict[tuple[int, ...], int] | HardnessWitness:
     """Every (r-1)-multiset of class ids must extend to the relation in
-    exactly one way. reps translates class ids to element ids in evidence
-    (identity when omitted).
+    exactly one way. Returns the completion function, a dict from each
+    sorted (r-1)-multiset to its one completion, or the witness of the
+    lex-first prefix with no or several completions; reps translates class
+    ids to element ids in evidence (identity when omitted).
 
-    Prefixes are scanned in sorted order against a completion index, and
-    every prefix before the first failure has one completion, so the scan
-    costs O(|relation| * r).
+    Members are sorted r-multisets of range(m), so every index key is a
+    prefix, and the relation is Latin exactly when no key clashes and all
+    C(m+r-2, r-1) prefixes are keys: O(|relation| * r). Only a failure
+    walks the prefixes in sorted order, to name the first.
     """
+    index, clashes = _completion_index(relation)
+    if not clashes and len(index) == math.comb(m + r - 2, r - 1):
+        return index
     reps = tuple(reps) if reps is not None else tuple(range(m))
-    index = _completion_index(relation)
     for prefix in combinations_with_replacement(range(m), r - 1):
-        completions = index.get(prefix, [])
-        if len(completions) != 1:
-            return HardnessWitness(
-                KIND_NOT_LATIN,
-                tuple(component),
-                {
-                    "prefix": [reps[c] for c in prefix],
-                    "completions": [reps[c] for c in completions],
-                },
-            )
-    return None
-
-
-def _unique_completion(index: Mapping[tuple[int, ...], list[int]], prefix: tuple[int, ...]) -> int:
-    found = index.get(tuple(sorted(prefix)), [])
-    if len(found) != 1:
-        raise ValueError(f"relation is not Latin at prefix {prefix}")
-    return found[0]
+        if prefix in index and prefix not in clashes:
+            continue
+        completions = [c for c in range(m) if tuple(sorted(prefix + (c,))) in relation]
+        return HardnessWitness(
+            KIND_NOT_LATIN,
+            tuple(component),
+            {
+                "prefix": [reps[c] for c in prefix],
+                "completions": [reps[c] for c in completions],
+            },
+        )
+    raise ValueError("relation members must be sorted r-multisets of range(m)")
 
 
 def reconstruct_group(
-    relation: frozenset[tuple[int, ...]],
+    completion: Mapping[tuple[int, ...], int],
     r: int,
     m: int,
     zero: int = 0,
     component: Sequence[int] = (),
     reps: Sequence[int] | None = None,
 ) -> GroupStructure | HardnessWitness:
-    """Recover the Abelian group forcing a Latin relation, if one exists.
+    """Recover the Abelian group forcing a Latin relation, if one exists,
+    from the completion function latin_check returned.
 
     With a designated zero class, dot(a, b) completes (a, b, zero^(r-3));
     then a + b = dot(zero, dot(a, b)), the negation is dot(., dot(zero,
@@ -427,17 +432,15 @@ def reconstruct_group(
     asserted below; the content is associativity, which
     first_nonassociative decides by Light's test in O(m^2 log m) and
     witnesses by its lex-first failing triple. With all four settled the
-    group is built from the derived tables directly. Only members holding
-    zero^(r-3) complete such a prefix, so only they are indexed.
+    group is built from the derived tables directly. That dot(a, b) is
+    -(a + b) + dot(zero, zero) in this group is not checked here:
+    (a, b, zero^(r-3)) is one of the prefixes equation_check checks next.
     """
     reps = tuple(reps) if reps is not None else tuple(range(m))
     pad = (zero,) * (r - 3)
-    index = _completion_index(
-        frozenset(alpha for alpha in relation if alpha.count(zero) >= r - 3)
-    )
 
     def dot(a: int, b: int) -> int:
-        return _unique_completion(index, (a, b) + pad)
+        return completion[tuple(sorted((a, b) + pad))]
 
     zsq = dot(zero, zero)
     dots = [[dot(a, b) for b in range(m)] for a in range(m)]
@@ -462,53 +465,44 @@ def reconstruct_group(
             },
         )
     group = AbelianGroup(m, tuple(map(tuple, add)), zero, tuple(neg))
-    for a in range(m):
-        for b in range(m):
-            want = add[neg[add[a][b]]][zsq]  # dot(a, b) == -(a+b) + dot(zero, zero)
-            if dots[a][b] != want:
-                raise AssertionError("triple set disagrees with the derived group")
     return GroupStructure(group, zsq, decompose(group))
 
 
 def equation_check(
-    relation: frozenset[tuple[int, ...]],
+    completion: Mapping[tuple[int, ...], int],
     gs: GroupStructure,
     component: Sequence[int] = (),
     reps: Sequence[int] | None = None,
 ) -> HardnessWitness | None:
-    """The unique completion of every (r-1)-multiset must equal
-    a - sum(prefix) in the reconstructed group.
+    """Each entry (prefix, c) of the completion function latin_check
+    returned must have c = a - sum(prefix) in the reconstructed group; the
+    witness names the lex-first prefix that fails.
 
-    The relation must be Latin (latin_check has passed); then the check
-    holds exactly when every member sums to a. If a member alpha does not,
-    the prefix alpha minus its last class has that class as its only
-    completion, and it differs from a - sum(prefix). If every member
-    does, the completion c of each prefix makes a member, so c = a -
-    sum(prefix). So the members are summed, O(|relation| * r), and only
-    on a mismatch are the prefixes scanned in sorted order; the first
-    failing one is the witness.
+    An entry fails exactly when its member, prefix plus c, misses a, and
+    dropping a member's largest class gives its lex-first prefix. So only
+    the entries with c at least the prefix's last class are checked, one
+    per member, O(|relation| * r), and the least failing one is the witness.
     """
     group = gs.group
-    if all(_group_sum(group, alpha) == gs.a for alpha in relation):
+    failing = [
+        prefix
+        for prefix, c in completion.items()
+        if c >= prefix[-1] and group.add_table[_group_sum(group, prefix)][c] != gs.a
+    ]
+    if not failing:
         return None
-    m = group.order
-    r = len(next(iter(relation)))
-    reps = tuple(reps) if reps is not None else tuple(range(m))
-    index = _completion_index(relation)
-    for prefix in combinations_with_replacement(range(m), r - 1):
-        got = _unique_completion(index, prefix)
-        expected = group.add(gs.a, group.neg(_group_sum(group, prefix)))
-        if got != expected:
-            return HardnessWitness(
-                KIND_EQUATION_MISMATCH,
-                tuple(component),
-                {
-                    "prefix": [reps[c] for c in prefix],
-                    "got": reps[got],
-                    "expected": reps[expected],
-                },
-            )
-    raise AssertionError("a relation member misses the target but no prefix does")
+    prefix = min(failing)
+    reps = tuple(reps) if reps is not None else tuple(range(group.order))
+    expected = group.add(gs.a, group.neg(_group_sum(group, prefix)))
+    return HardnessWitness(
+        KIND_EQUATION_MISMATCH,
+        tuple(component),
+        {
+            "prefix": [reps[c] for c in prefix],
+            "got": reps[completion[prefix]],
+            "expected": reps[expected],
+        },
+    )
 
 
 def _group_sum(group: AbelianGroup, classes: Sequence[int]) -> int:
@@ -519,6 +513,24 @@ def _group_sum(group: AbelianGroup, classes: Sequence[int]) -> int:
     return total
 
 
+def _classify_component(g: SymFunc, comp: Sequence[int]) -> ComponentStructure | HardnessWitness:
+    """Run the five stages on one domain component: the structure, or the
+    witness of the first failed stage. Each stage is called by its module
+    name, so a wrapper installed on the module sees every call."""
+    fs = check_product_structure(g, sim_classes(g, comp))
+    if isinstance(fs, HardnessWitness):
+        return fs
+    m = len(fs.classes)
+    completion = latin_check(fs.relation, g.r, m, comp, fs.reps)
+    if isinstance(completion, HardnessWitness):
+        return completion
+    gr = reconstruct_group(completion, g.r, m, 0, comp, fs.reps)
+    if isinstance(gr, HardnessWitness):
+        return gr
+    w = equation_check(completion, gr, comp, fs.reps)
+    return w if w is not None else ComponentStructure(fs, gr)
+
+
 def classify(g: SymFunc) -> Classification:
     """Full dichotomy decision.
 
@@ -526,9 +538,10 @@ def classify(g: SymFunc) -> Classification:
     components, and on each component runs five stages: similarity
     classes, product structure, Latin check, group reconstruction,
     equation check. The product structure implies the factoring identity
-    (see check_product_structure), so it is not checked again. The first
-    failure becomes the witness; otherwise the per-component structures
-    are returned.
+    (see check_product_structure), so it is not checked again. The Latin
+    check hands the relation's completion function to the two group
+    stages. The first failure becomes the witness; otherwise the
+    per-component structures are returned.
     """
     pr = prune_domain(g)
     if not pr.kept:
@@ -538,21 +551,10 @@ def classify(g: SymFunc) -> Classification:
     )
     out: list[ComponentStructure] = []
     for comp in components:
-        sc = sim_classes(g, comp)
-        fs = check_product_structure(g, sc)
-        if isinstance(fs, HardnessWitness):
-            return Classification(g, False, pr.kept, pr.removed, (), fs)
-        m = len(fs.classes)
-        w = latin_check(fs.relation, g.r, m, comp, fs.reps)
-        if w is not None:
-            return Classification(g, False, pr.kept, pr.removed, (), w)
-        gr = reconstruct_group(fs.relation, g.r, m, 0, comp, fs.reps)
-        if isinstance(gr, HardnessWitness):
-            return Classification(g, False, pr.kept, pr.removed, (), gr)
-        w = equation_check(fs.relation, gr, comp, fs.reps)
-        if w is not None:
-            return Classification(g, False, pr.kept, pr.removed, (), w)
-        out.append(ComponentStructure(fs, gr))
+        res = _classify_component(g, comp)
+        if isinstance(res, HardnessWitness):
+            return Classification(g, False, pr.kept, pr.removed, (), res)
+        out.append(res)
     return Classification(g, True, pr.kept, pr.removed, tuple(out), None)
 
 
@@ -561,7 +563,8 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
 
     Value-level kinds are checked straight off the table; class-level
     kinds recompute the (deterministic) classes for the recorded
-    component and re-run the single failed check.
+    component and re-run the failed check. The two group-level kinds
+    re-run the component's whole pipeline and compare kind and evidence.
     """
     if w.kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {w.kind!r}")
@@ -584,11 +587,17 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
             and rhs == parse_rational(ev["rhs"])
             and lhs != rhs
         )
+    if not w.component:
+        return False
+    if w.kind in (KIND_NOT_ASSOCIATIVE, KIND_EQUATION_MISMATCH):
+        try:
+            got = _classify_component(g, w.component)
+        except ValueError:
+            return False
+        return isinstance(got, HardnessWitness) and got.kind == w.kind and got.evidence == ev
     try:
         sc = sim_classes(g, w.component)
     except ValueError:
-        return False
-    if not sc.classes:
         return False
     classes = {tuple(c) for c in sc.classes}
     if w.kind == KIND_UNEQUAL_CLASS_SIZES:
@@ -611,30 +620,12 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     fs = check_product_structure(g, sc)
     if isinstance(fs, HardnessWitness):
         return False
-    m = len(fs.classes)
-    reps = fs.reps
-    rep_to_class = {rep: idx for idx, rep in enumerate(reps)}
-    if w.kind == KIND_NOT_LATIN:
-        if any(z not in rep_to_class for z in ev["prefix"]):
-            return False
-        prefix = tuple(rep_to_class[z] for z in ev["prefix"])
-        completions = [c for c in range(m) if tuple(sorted(prefix + (c,))) in fs.relation]
-        return [reps[c] for c in completions] == ev["completions"] and len(completions) != 1
-    if w.kind == KIND_NOT_ASSOCIATIVE:
-        if latin_check(fs.relation, g.r, m) is not None:
-            return False
-        gr = reconstruct_group(fs.relation, g.r, m, 0, w.component, reps)
-        return (
-            isinstance(gr, HardnessWitness)
-            and gr.kind == KIND_NOT_ASSOCIATIVE
-            and gr.evidence == ev
-        )
-    if w.kind == KIND_EQUATION_MISMATCH:
-        if latin_check(fs.relation, g.r, m) is not None:
-            return False
-        gr = reconstruct_group(fs.relation, g.r, m, 0, w.component, reps)
-        if isinstance(gr, HardnessWitness):
-            return False
-        w2 = equation_check(fs.relation, gr, w.component, reps)
-        return w2 is not None and w2.evidence == ev
-    raise ValueError(f"unknown witness kind {w.kind!r}")
+    rep_to_class = {rep: idx for idx, rep in enumerate(fs.reps)}
+    # the one kind left is NotLatin
+    if len(ev["prefix"]) != g.r - 1 or any(z not in rep_to_class for z in ev["prefix"]):
+        return False
+    prefix = tuple(rep_to_class[z] for z in ev["prefix"])
+    completions = [
+        rep for c, rep in enumerate(fs.reps) if tuple(sorted(prefix + (c,))) in fs.relation
+    ]
+    return completions == ev["completions"] and len(completions) != 1

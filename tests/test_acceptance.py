@@ -12,7 +12,7 @@ from itertools import product
 
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup, count_homs, count_solutions_mod, decompose
-from hyperhom.dichotomy import classify, equation_check, replay_witness
+from hyperhom.dichotomy import classify, equation_check, latin_check, replay_witness
 from hyperhom.evaluator import (
     CapExceeded,
     eval_bruteforce,
@@ -121,9 +121,8 @@ def test_criterion_2_constructed_family_recovery(record_acceptance):
                     # the recovered target satisfies the recovered relation:
                     # replaying the equation check certifies a up to the
                     # designated-zero isomorphism
-                    assert (
-                        equation_check(comp.factor.relation, comp.group) is None
-                    ), (gname, s, r, a)
+                    completion = latin_check(comp.factor.relation, r, group.order)
+                    assert equation_check(completion, comp.group) is None, (gname, s, r, a)
                     q = g.q
                     n_cap = 7
                     while q**n_cap > 200_000:

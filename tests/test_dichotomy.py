@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from hyperhom import dichotomy
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup, decompose
 from hyperhom.dichotomy import (
@@ -23,6 +24,7 @@ from hyperhom.dichotomy import (
     sim_classes,
     verify_factoring_identity,
 )
+from hyperhom.gadgets import relation_to_symfunc
 from hyperhom.model import SymFunc
 
 
@@ -89,42 +91,44 @@ def test_factoring_identity_direct_violation():
 
 def test_latin_check():
     parity_rel = frozenset({(0, 0, 0), (0, 1, 1)})
-    assert latin_check(parity_rel, 3, 2) is None
+    assert latin_check(parity_rel, 3, 2) == {(0, 0): 0, (0, 1): 1, (1, 1): 0}
     w = latin_check(frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 1)}), 3, 2)
     assert w is not None and w.kind == "NotLatin"
     assert w.evidence == {"prefix": [0, 1], "completions": [0, 1]}
 
 
 def test_reconstruct_group_parity():
-    gs = reconstruct_group(frozenset({(0, 0, 0), (0, 1, 1)}), 3, 2)
+    completion = latin_check(frozenset({(0, 0, 0), (0, 1, 1)}), 3, 2)
+    gs = reconstruct_group(completion, 3, 2)
     assert not isinstance(gs, HardnessWitness)
     assert gs.a == 0
     assert gs.decomposition.factors == (2,)
-    assert equation_check(frozenset({(0, 0, 0), (0, 1, 1)}), gs) is None
+    assert equation_check(completion, gs) is None
 
 
 def test_reconstruct_group_mod5():
     rel = frozenset(
         key for key in combinations_with_replacement(range(5), 3) if sum(key) % 5 == 2
     )
-    gs = reconstruct_group(rel, 3, 5)
+    completion = latin_check(rel, 3, 5)
+    gs = reconstruct_group(completion, 3, 5)
     assert gs.a == 2
     assert gs.decomposition.factors == (5,)
-    assert equation_check(rel, gs) is None
+    assert equation_check(completion, gs) is None
 
 
 def test_reconstruct_group_shifted_zero():
-    rel = fx.shifted_mod4_relation()
-    gs = reconstruct_group(rel, 3, 4, zero=1)
+    completion = latin_check(fx.shifted_mod4_relation(), 3, 4)
+    gs = reconstruct_group(completion, 3, 4, zero=1)
     assert gs.a == 2
     assert gs.decomposition.factors == (4,)
     # derived addition is x + y - 1 mod 4
     for x in range(4):
         for y in range(4):
             assert gs.group.add(x, y) == (x + y - 1) % 4
-    assert equation_check(rel, gs) is None
+    assert equation_check(completion, gs) is None
     # default zero gives the untranslated group, same invariants
-    gs0 = reconstruct_group(rel, 3, 4)
+    gs0 = reconstruct_group(completion, 3, 4)
     assert gs0.decomposition.factors == (4,)
     assert gs0.a == 0
 
@@ -133,15 +137,16 @@ def test_reconstruct_group_arity_four():
     rel = frozenset(
         key for key in combinations_with_replacement(range(3), 4) if sum(key) % 3 == 1
     )
-    gs = reconstruct_group(rel, 4, 3)
+    completion = latin_check(rel, 4, 3)
+    gs = reconstruct_group(completion, 4, 3)
     assert gs.a == 1
     assert gs.decomposition.factors == (3,)
-    assert equation_check(rel, gs) is None
+    assert equation_check(completion, gs) is None
 
 
 def test_reconstruct_group_not_associative():
     rel = frozenset(fx.steiner_fano().support())
-    w = reconstruct_group(rel, 3, 7)
+    w = reconstruct_group(latin_check(rel, 3, 7), 3, 7)
     assert isinstance(w, HardnessWitness)
     assert w.kind == "NotAssociative"
     ev = w.evidence
@@ -150,10 +155,10 @@ def test_reconstruct_group_not_associative():
 
 
 def test_equation_check_direct_mismatch():
-    rel = frozenset({(0, 0, 0), (0, 1, 1)})
-    gs = reconstruct_group(rel, 3, 2)
+    completion = latin_check(frozenset({(0, 0, 0), (0, 1, 1)}), 3, 2)
+    gs = reconstruct_group(completion, 3, 2)
     wrong = GroupStructure(group=gs.group, a=1, decomposition=gs.decomposition)
-    w = equation_check(rel, wrong)
+    w = equation_check(completion, wrong)
     assert w is not None and w.kind == "EquationMismatch"
     assert {"prefix", "got", "expected"} <= set(w.evidence)
 
@@ -192,12 +197,21 @@ def test_classify_all_zero():
     assert cls.kept == ()
 
 
+def _equation_mismatch_table():
+    # Latin and associative (Z4 with zero 0 reads off a target of 0), but
+    # the members 1111 and 2223 do not sum to that target
+    members = "0000 0011 0022 0033 0123 1111 1122 1133 2223 2333".split()
+    relation = frozenset(tuple(int(c) for c in key) for key in members)
+    return relation_to_symfunc(relation, 4, 4)
+
+
 def test_classify_hard_fixtures_and_replay():
     cases = [
         (fx.not_all_zero(), "NotLatin"),
         (fx.steiner_fano(), "NotAssociative"),
         (fx.mixed_skewed(), "RatioMultisetMismatch"),
         (fx.mixed_missing_element(), "UnequalClassSizes"),
+        (_equation_mismatch_table(), "EquationMismatch"),
     ]
     for g, kind in cases:
         cls = classify(g)
@@ -206,6 +220,13 @@ def test_classify_hard_fixtures_and_replay():
         assert cls.witness.kind in WITNESS_KINDS
         assert replay_witness(g, cls.witness)
         json.dumps(cls.witness.evidence)  # witness must be machine-readable
+
+    g = _equation_mismatch_table()
+    w = classify(g).witness
+    assert w.evidence == {"prefix": [2, 2, 2], "got": 3, "expected": 2}
+    for changed in ({"got": 2}, {"expected": 3}, {"prefix": [2, 2, 3]}):
+        forged = HardnessWitness(w.kind, w.component, {**w.evidence, **changed})
+        assert not replay_witness(g, forged), changed
 
 
 def test_replay_rejects_stale_witness():
@@ -221,17 +242,60 @@ def test_replay_rejects_stale_witness():
     )
     assert not replay_witness(fx.mixed(), fake)
 
+    # NotLatin prefixes of the wrong length have no completion in an
+    # r-multiset relation; they must not pass for a Latin failure
+    for g, component in ((fx.parity(), (0, 1)), (fx.mixed(), (0, 1)), (fx.mixed(), (0, 1, 2, 3))):
+        for prefix in ([0], [], [0, 0, 0]):
+            forged = HardnessWitness("NotLatin", component, {"prefix": prefix, "completions": []})
+            assert not replay_witness(g, forged), (g.q, component, prefix)
+
     with pytest.raises(ValueError):
         replay_witness(fx.parity(), HardnessWitness("NoSuchKind", (), {}))
 
 
 def test_replay_confirms_doctored_equation_witness_false():
-    rel = frozenset({(0, 0, 0), (0, 1, 1)})
-    gs = reconstruct_group(rel, 3, 2)
+    completion = latin_check(frozenset({(0, 0, 0), (0, 1, 1)}), 3, 2)
+    gs = reconstruct_group(completion, 3, 2)
     wrong = GroupStructure(group=gs.group, a=1, decomposition=gs.decomposition)
-    w = equation_check(rel, wrong, component=(0, 1), reps=(0, 1))
+    w = equation_check(completion, wrong, component=(0, 1), reps=(0, 1))
     # parity's true table yields a = 0, so this witness must not replay
     assert not replay_witness(fx.parity(), w)
+
+
+def test_classify_runs_each_stage_once_per_component(monkeypatch):
+    # perfbench times the stages by wrapping these module names; a
+    # refactor that bypasses them would make its per-layer metrics read 0
+    names = (
+        "sim_classes",
+        "check_product_structure",
+        "latin_check",
+        "reconstruct_group",
+        "equation_check",
+        "_completion_index",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(dichotomy, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(dichotomy, name, counting(name))
+    blocks = [
+        (fx.group_from_factors(2, 2), 1, (Fraction(1),), 1, Fraction(1)),
+        (fx.group_from_factors(3), 2, (Fraction(1), Fraction(2)), 0, Fraction(1, 2)),
+        (fx.group_from_factors(), 1, (Fraction(1),), 0, Fraction(3)),
+    ]
+    for r in (3, 4):
+        calls.update(dict.fromkeys(names, 0))
+        cls = classify(fx.structured_family(blocks, r=r))
+        assert cls.tractable and len(cls.components) == 3
+        assert calls == dict.fromkeys(names, 3)
 
 
 def test_classify_random_structured_families():

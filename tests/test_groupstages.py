@@ -31,6 +31,7 @@ from hyperhom.dichotomy import (
     GroupStructure,
     check_product_structure,
     equation_check,
+    latin_check,
     reconstruct_group,
     replay_witness,
     sim_classes,
@@ -343,16 +344,17 @@ def test_equation_check_matches_prefix_scan():
         m = group.order
         for r in (3, 4):
             relation = _sum_relation(group, r, rng.randrange(m))
+            completion = latin_check(relation, r, m)
             reps = tuple(rng.sample(range(100), m))
             for zero in range(m):  # every designated zero, shifted ones included
-                gs = reconstruct_group(relation, r, m, zero)
+                gs = reconstruct_group(completion, r, m, zero)
                 assert gs.group.zero == zero
                 # at m = 4 also Z2 + Z2 on the same labels, a group of the right
                 # order that the relation need not fit
                 for grp in [gs.group] + ([fx.group_from_factors(2, 2)] if m == 4 else []):
                     for a in range(m):  # every target; only the derived one fits its group
                         trial = GroupStructure(grp, a, gs.decomposition)
-                        w = equation_check(relation, trial, (7,), reps)
+                        w = equation_check(completion, trial, (7,), reps)
                         ev = prefix_scan(relation, trial, reps)
                         assert (w is None) == (ev is None)
                         if grp is gs.group:

@@ -25,6 +25,7 @@ from hyperhom.dichotomy import (
     sim_classes,
 )
 from hyperhom.exactcore import format_rational
+from hyperhom.gadgets import relation_to_symfunc
 from hyperhom.model import SymFunc, link_roots, marginalize
 
 # ---------------------------------------------------------------------------
@@ -287,17 +288,20 @@ def test_latin_and_equation_checks_on_perturbed_relations():
             relation.add(tuple(sorted(rng.randrange(m) for _ in range(r))))
         relation = frozenset(relation)
         reps = tuple(rng.sample(range(50), m))
-        w = latin_check(relation, r, m, (9,), reps)
+        completion = latin_check(relation, r, m, (9,), reps)
         ev = dense_latin(relation, r, m)
         if ev is None:
-            assert w is None
+            assert completion == {
+                prefix: dense_completions(relation, m, prefix)[0]
+                for prefix in combinations_with_replacement(range(m), r - 1)
+            }
         else:
-            assert w.evidence == {
+            assert completion.evidence == {
                 "prefix": [reps[c] for c in ev["prefix"]],
                 "completions": [reps[c] for c in ev["completions"]],
             }
             continue
-        gs = reconstruct_group(relation, r, m)
+        gs = reconstruct_group(completion, r, m)
         found, bad = dense_group(relation, r, m)
         if bad is not None:
             assert gs.evidence == {"triple": list(bad[:3]), "left": bad[3], "right": bad[4]}
@@ -305,7 +309,7 @@ def test_latin_and_equation_checks_on_perturbed_relations():
         assert [list(row) for row in gs.group.add_table] == found[0] and gs.a == found[1]
         for a in range(m):  # every target; all but the true one must mismatch
             shifted = GroupStructure(gs.group, a, gs.decomposition)
-            w = equation_check(relation, shifted)
+            w = equation_check(completion, shifted)
             ev = dense_equation(relation, shifted)
             assert (w is None) == (ev is None) == (a == gs.a)
             if w is not None:
@@ -352,3 +356,56 @@ def test_classify_matches_dense_stages():
         assert replay_witness(g, w)
         kinds.add(w.kind)
     assert len(kinds) >= 4
+
+
+def latin_relations(m: int, r: int, limit: int) -> list[frozenset]:
+    """Latin relations on m classes at arity r, up to limit, by
+    backtracking: the lex-first prefix with no completion yet takes each
+    completion whose member covers no prefix twice, so every relation is
+    found once."""
+    prefixes = list(combinations_with_replacement(range(m), r - 1))
+    covered, members, out = set(), [], []
+
+    def extend(i):
+        while i < len(prefixes) and prefixes[i] in covered:
+            i += 1
+        if i == len(prefixes):
+            out.append(frozenset(members))
+            return
+        for c in range(m):
+            if len(out) >= limit:
+                return
+            alpha = tuple(sorted(prefixes[i] + (c,)))
+            subs = {alpha[:j] + alpha[j + 1 :] for j in range(r)}
+            if covered.isdisjoint(subs):
+                covered.update(subs)
+                members.append(alpha)
+                extend(i + 1)
+                covered.difference_update(subs)
+                members.pop()
+
+    extend(0)
+    return out
+
+
+def test_classify_matches_dense_stages_on_latin_relations():
+    # every Latin relation passes the Latin check, so these exercise the
+    # group stages on inputs no group fixture reaches: non-associative
+    # loops and associative relations that miss their target
+    kinds = {}
+    for m, r, limit in ((4, 4, 10**6), (5, 3, 10**6), (6, 3, 300)):
+        relations = latin_relations(m, r, limit)
+        assert len(relations) == {(4, 4): 28, (5, 3): 30, (6, 3): 300}[m, r]
+        for relation in relations:
+            g = relation_to_symfunc(relation, m, r)
+            cls = classify(g)
+            tractable, factors, witness = dense_classify(g)
+            assert cls.tractable == tractable
+            if tractable:
+                assert [c.group.decomposition.factors for c in cls.components] == factors
+                continue
+            w = cls.witness
+            assert (w.kind, w.component, w.evidence) == witness
+            assert replay_witness(g, w)
+            kinds[w.kind] = kinds.get(w.kind, 0) + 1
+    assert kinds == {"NotAssociative": 88, "EquationMismatch": 12}
