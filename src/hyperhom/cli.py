@@ -8,6 +8,7 @@ rationals as strings) and a short human summary to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -256,7 +257,13 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
     return "value", {"checks": len(checks), "names": checks}, 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process on first use.
+
+    Parsing keeps no state between calls: no action appends to a default,
+    and a usage error raises before anything is stored.
+    """
     parser = _Parser(prog="hyperhom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,6 +307,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and print its report; returns the exit code.
+
+    The argument parser is built on the first call and reused by every
+    later call in the process, so a call pays only for parsing its own
+    arguments and input files (O(lines), see the loaders in model).
+    """
     started = time.perf_counter()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     command = " ".join(argv) if argv else "(none)"

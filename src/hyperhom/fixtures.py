@@ -66,8 +66,11 @@ def structured_family(
     completed by a - (its sum) when that class is at least its last one,
     and each class multiset is expanded into its index multisets. The
     cost is O(order^(r-1) + |support| * r), and keys are inserted in
-    sorted order.
+    sorted order, so the keys are sorted, in range and nonzero by
+    construction and the table is not validated again.
     """
+    if r < 3:
+        raise ValueError(f"arity must be at least 3, got {r}")
     offset = 0
     layout = []
     for group, s, mu, a, constant in blocks:
@@ -75,11 +78,15 @@ def structured_family(
             raise ValueError(f"need s >= 1 matching mu, got s={s}, mu={mu}")
         if any(Fraction(m) <= 0 for m in mu):
             raise ValueError(f"per-index weights must be positive, got {mu}")
+        if Fraction(constant) <= 0:
+            raise ValueError(f"constant must be positive, got {constant}")
         if not 0 <= a < group.order:
             raise ValueError(f"target {a} outside the group")
         layout.append((offset, group, s, tuple(Fraction(m) for m in mu), a, Fraction(constant)))
         offset += group.order * s
     q = offset + junk
+    if q < 1:
+        raise ValueError(f"domain size must be positive, got {q}")
     weights: dict[tuple[int, ...], Fraction] = {}
     for off, group, s, mu, a, constant in layout:
         # index multisets of each size with their weight prod mu[index]
@@ -111,7 +118,7 @@ def structured_family(
                 block.append((key, w))
         block.sort()
         weights.update(block)
-    return SymFunc.from_weights(q, r, weights)
+    return SymFunc(q, r, weights)
 
 
 def parity() -> SymFunc:

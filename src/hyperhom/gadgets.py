@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Sequence
 
 from .abelian import count_homs
@@ -123,23 +123,26 @@ def tilde_f(g: SymFunc, k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Binary table pairing arity-k marginal slices over ordered completions.
 
     Entry (z, z') is sum over ordered (k-1)-tuples w of f(z,w) * f(z',w);
-    symmetric, with positive diagonal once the domain is pruned.
+    symmetric, with positive diagonal once the domain is pruned. Driven by
+    the support of f: each nonzero key splits into (z, w) once per distinct
+    element z, and only pairs sharing a w are multiplied.
     """
     if not 2 <= k <= g.r:
         raise ValueError(f"need 2 <= k <= r, got k={k}")
     f = marginalize(g, k)
+    slices: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    for key, v in f.values.items():
+        for i, z in enumerate(key):
+            if i == 0 or key[i - 1] != z:
+                slices.setdefault(key[:i] + key[i + 1 :], []).append((z, v))
     out = [[Fraction(0)] * g.q for _ in range(g.q)]
-    for w in combinations_with_replacement(range(g.q), k - 1):
+    for w, pairs in slices.items():
         mult = orderings_count(w)
-        vals = [f.value((z,) + w) for z in range(g.q)]
-        for z in range(g.q):
-            vz = vals[z]
-            if not vz:
-                continue
-            row = out[z]
-            for zp in range(z, g.q):
-                if vals[zp]:
-                    row[zp] += mult * vz * vals[zp]
+        for z, vz in pairs:
+            row, scaled = out[z], mult * vz
+            for zp, vzp in pairs:
+                if zp >= z:
+                    row[zp] += scaled * vzp
     for z in range(g.q):
         for zp in range(z + 1, g.q):
             out[zp][z] = out[z][zp]

@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
@@ -123,7 +124,7 @@ class Hypergraph:
                 arity = len(e)
             elif len(e) != arity:
                 raise ValueError(f"mixed edge arities {arity} and {len(e)}")
-            if len(e) < 1 or any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+            if len(e) < 1 or not _strictly_increasing(e):
                 raise ValueError(f"edge {e} is not strictly increasing")
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {e} out of vertex range 0..{self.n - 1}")
@@ -185,7 +186,7 @@ def orderings_count(key: Sequence[int]) -> int:
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
 
@@ -213,7 +214,26 @@ def _keyword_int(lines: Iterator[tuple[int, str]], keyword: str) -> int:
         raise FormatError(lineno, f"bad integer {parts[1]!r}") from None
 
 
+def _int_tokens(lineno: int, tokens: list[str], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise FormatError(lineno, f"bad {what}") from None
+
+
+def _strictly_increasing(e: tuple[int, ...]) -> bool:
+    return all(map(lt, e, e[1:]))
+
+
 def load_symfunc(text: str) -> SymFunc:
+    """Parse the `symfunc v1` format.
+
+    O(lines): each distinct element token and weight literal is parsed and
+    checked once per call, keyed by its text. A line whose tokens were all
+    seen before is checked only for arity, order and duplicates. Every line
+    reports the first of its errors in the order '=', element list, length,
+    range, order, literal, sign, duplicate.
+    """
     lines = _content_lines(text)
     _expect_header(lines, "symfunc v1")
     q = _keyword_int(lines, "q")
@@ -224,26 +244,36 @@ def load_symfunc(text: str) -> SymFunc:
         raise FormatError(3, f"arity must be at least 3, got {r}")
     weights: dict[tuple[int, ...], Fraction] = {}
     zeros: set[tuple[int, ...]] = set()
+    elements: dict[str, int] = {}  # token -> element of 0..q-1
+    literals: dict[str, Fraction] = {}  # weight text -> nonnegative weight
     for lineno, line in lines:
-        if "=" not in line:
+        left, eq, right = line.partition("=")
+        if not eq:
             raise FormatError(lineno, f"expected '<z1> .. <zr> = <weight>', got {line!r}")
-        left, _, right = line.partition("=")
+        tokens = left.split()
         try:
-            key = tuple(int(tok) for tok in left.split())
-        except ValueError:
-            raise FormatError(lineno, f"bad element list {left.strip()!r}") from None
+            key = tuple(map(elements.__getitem__, tokens))
+            known = True
+        except KeyError:
+            key = _int_tokens(lineno, tokens, f"element list {left.strip()!r}")
+            known = False
         if len(key) != r:
             raise FormatError(lineno, f"key has {len(key)} elements, expected {r}")
-        if any(z < 0 or z >= q for z in key):
-            raise FormatError(lineno, f"element out of range 0..{q - 1} in {key}")
-        if any(key[i] > key[i + 1] for i in range(r - 1)):
+        if not known:
+            if any(z < 0 or z >= q for z in key):
+                raise FormatError(lineno, f"element out of range 0..{q - 1} in {key}")
+            elements.update(zip(tokens, key))
+        if key != tuple(sorted(key)):
             raise FormatError(lineno, f"key {key} is not in non-decreasing order")
-        try:
-            w = parse_rational(right.strip())
-        except ValueError as exc:
-            raise FormatError(lineno, str(exc)) from None
-        if w < 0:
-            raise FormatError(lineno, f"negative weight {w}")
+        w = literals.get(right)
+        if w is None:
+            try:
+                w = parse_rational(right.strip())
+            except ValueError as exc:
+                raise FormatError(lineno, str(exc)) from None
+            if w < 0:
+                raise FormatError(lineno, f"negative weight {format_rational(w)}")
+            literals[right] = w
         if key in weights or key in zeros:
             raise FormatError(lineno, f"duplicate key {key}")
         if w:
@@ -262,6 +292,12 @@ def dump_symfunc(g: SymFunc) -> str:
 
 
 def load_hypergraph(text: str) -> Hypergraph:
+    """Parse the `hypergraph v1` format.
+
+    O(lines): each distinct vertex token is parsed and range-checked once
+    per call, keyed by its text. Every line reports the first of its errors
+    in the order 'e', vertex list, empty, order, range, arity, duplicate.
+    """
     lines = _content_lines(text)
     _expect_header(lines, "hypergraph v1")
     n = _keyword_int(lines, "n")
@@ -269,21 +305,27 @@ def load_hypergraph(text: str) -> Hypergraph:
         raise FormatError(2, f"vertex count must be nonnegative, got {n}")
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
+    vertices: dict[str, int] = {}  # token -> vertex of 0..n-1
     arity = None
     for lineno, line in lines:
         parts = line.split()
         if parts[0] != "e":
             raise FormatError(lineno, f"expected 'e <v1> ..', got {line!r}")
+        tokens = parts[1:]
         try:
-            e = tuple(int(tok) for tok in parts[1:])
-        except ValueError:
-            raise FormatError(lineno, f"bad vertex list {line!r}") from None
+            e = tuple(map(vertices.__getitem__, tokens))
+            known = True
+        except KeyError:
+            e = _int_tokens(lineno, tokens, f"vertex list {line!r}")
+            known = False
         if len(e) < 1:
             raise FormatError(lineno, "empty edge")
-        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+        if not _strictly_increasing(e):
             raise FormatError(lineno, f"edge {e} is not strictly increasing")
-        if e[0] < 0 or e[-1] >= n:
-            raise FormatError(lineno, f"edge {e} out of vertex range 0..{n - 1}")
+        if not known:
+            if e[0] < 0 or e[-1] >= n:
+                raise FormatError(lineno, f"edge {e} out of vertex range 0..{n - 1}")
+            vertices.update(zip(tokens, e))
         if arity is None:
             arity = len(e)
         elif len(e) != arity:
@@ -307,6 +349,12 @@ def dump_hypergraph(h: Hypergraph) -> str:
 
 
 def load_csp(text: str) -> CspInstance:
+    """Parse the `csp v1` format.
+
+    O(lines): each distinct variable token is parsed and range-checked once
+    per call, keyed by its text. Every line reports the first of its errors
+    in the order variable list, range, keyword, empty scope or pair, arity.
+    """
     lines = _content_lines(text)
     _expect_header(lines, "csp v1")
     n = _keyword_int(lines, "n")
@@ -314,15 +362,18 @@ def load_csp(text: str) -> CspInstance:
         raise FormatError(2, f"variable count must be nonnegative, got {n}")
     scopes: list[tuple[int, ...]] = []
     equalities: list[tuple[int, int]] = []
+    variables: dict[str, int] = {}  # token -> variable of 0..n-1
     arity = None
     for lineno, line in lines:
         parts = line.split()
+        tokens = parts[1:]
         try:
-            vs = tuple(int(tok) for tok in parts[1:])
-        except ValueError:
-            raise FormatError(lineno, f"bad vertex list {line!r}") from None
-        if any(v < 0 or v >= n for v in vs):
-            raise FormatError(lineno, f"variable out of range 0..{n - 1} in {line!r}")
+            vs = tuple(map(variables.__getitem__, tokens))
+        except KeyError:
+            vs = _int_tokens(lineno, tokens, f"vertex list {line!r}")
+            if any(v < 0 or v >= n for v in vs):
+                raise FormatError(lineno, f"variable out of range 0..{n - 1} in {line!r}")
+            variables.update(zip(tokens, vs))
         if parts[0] == "c":
             if len(vs) < 1:
                 raise FormatError(lineno, "empty scope")

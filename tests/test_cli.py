@@ -261,3 +261,33 @@ def test_console_script_entry_point(files):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["status"] == "tractable"
+
+
+def test_parser_reuse_matches_fresh_interpreters(files, capsys):
+    # one process runs every command in turn, usage errors included; each
+    # report must equal the one a fresh interpreter prints for the command
+    sequence = [
+        ["eval", "-g", files["parity"], "--method", "nope"],
+        ["classify", "-g", files["parity"]],
+        ["gadget", "pad", "-i", files["tri"]],
+        *(
+            ["eval", "-g", files["geometric"], "-i", files["edge3"], "--method", method]
+            for method in ("auto", "structured", "dp-lambda", "brute")
+        ),
+        ["classify", "-g", files["notallzero"], "-i", files["edge3"]],
+        ["gadget", "tilde", "-g", files["geometric"], "-k", "2"],
+        ["gadget", "pad", "-i", files["tri"], "-r", "4"],
+        ["selftest"],
+    ]
+    src = str(Path(hyperhom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in sequence:
+        code = main(list(argv))
+        out, _ = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hyperhom.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert code == fresh.returncode, argv
+        mine, theirs = json.loads(out), json.loads(fresh.stdout)
+        mine.pop("timing_ms"), theirs.pop("timing_ms")
+        assert json.dumps(mine) == json.dumps(theirs), argv

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -25,7 +26,7 @@ from hyperhom.gadgets import (
     two_stretch,
     vertex_power,
 )
-from hyperhom.model import CspInstance, Hypergraph, MarginalTable, marginalize
+from hyperhom.model import CspInstance, Hypergraph, MarginalTable, marginalize, orderings_count
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
 TRIANGLE = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
@@ -106,6 +107,39 @@ def test_tilde_is_gram_of_marginal():
         f2 = marginalize(g, 2)
         h = [[f2.value((x, y)) for y in range(g.q)] for x in range(g.q)]
         assert tilde_f(g, 2) == gram(h)
+
+
+def dense_tilde_f(g, k):
+    """tilde_f as a walk over every (k-1)-multiset w of the domain."""
+    f = marginalize(g, k)
+    out = [[Fraction(0)] * g.q for _ in range(g.q)]
+    for w in combinations_with_replacement(range(g.q), k - 1):
+        mult = orderings_count(w)
+        vals = [f.value((z,) + w) for z in range(g.q)]
+        for z in range(g.q):
+            vz = vals[z]
+            if not vz:
+                continue
+            row = out[z]
+            for zp in range(z, g.q):
+                if vals[zp]:
+                    row[zp] += mult * vz * vals[zp]
+    for z in range(g.q):
+        for zp in range(z + 1, g.q):
+            out[zp][z] = out[z][zp]
+    return tuple(tuple(row) for row in out)
+
+
+def test_tilde_matches_dense_walk_on_seeded_tables():
+    rng = random.Random(2718)
+    tables = [fx.parity(), fx.geometric(), fx.mixed(), fx.steiner_fano(), fx.not_all_zero()]
+    for _ in range(12):
+        q, r = rng.randint(1, 8), rng.randint(3, 4)
+        tables.append(fx.random_table(rng, q, r, zero_frac=rng.choice((0.3, 0.8))))
+        tables.append(fx.random_tractable(rng, q, r))
+    for g in tables:
+        for k in range(2, g.r + 1):
+            assert tilde_f(g, k) == dense_tilde_f(g, k), (g.q, g.r, k)
 
 
 def test_stretch_identity():
