@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, CyclicDecomposition, decompose, first_nonassociative
 from .exactcore import format_rational, parse_rational
-from .model import SymFunc, domain_components, prune_domain
+from .model import SymFunc
 
 __all__ = [
     "KIND_UNEQUAL_CLASS_SIZES",
@@ -161,20 +161,17 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
 
     Classes are ordered by least element, members ascending.
 
-    The slice of z is kept sparse, as the list of nonzero keys holding z.
-    Two slices are proportional when the lists have the same length and
-    each key of z's list, with one z swapped for the other element, is a
-    nonzero key at a constant ratio. Comparing an element with a class
-    representative costs O(|slice| * r) table lookups, and mismatches
-    usually show at the first key.
+    The slice of z is kept sparse, as the list of nonzero keys holding z,
+    read from g.support_index (built once per table, shared by every
+    component). Two slices are proportional when the lists have the same
+    length and each key of z's list, with one z swapped for the other
+    element, is a nonzero key at a constant ratio. Comparing an element with
+    a class representative costs O(|slice| * r) table lookups, and
+    mismatches usually show at the first key.
     """
     comp = tuple(sorted(component))
     table = g.weights
-    holders: dict[int, list[tuple[int, ...]]] = {z: [] for z in comp}
-    for key in table:
-        for z in dict.fromkeys(key):
-            if z in holders:
-                holders[z].append(key)
+    holders = g.support_index.holders
 
     def ratio_to(z: int, rep: int) -> Fraction | None:
         keys = holders[z]
@@ -197,7 +194,7 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
     classes: list[list[int]] = []
     ratio: dict[int, Fraction] = {}
     for z in comp:
-        if not holders[z]:
+        if z not in holders:
             raise ValueError(f"element {z} has an all-zero slice; prune the domain first")
         for cls in classes:
             t = ratio_to(z, cls[0])
@@ -218,7 +215,9 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     multiset of min-normalized ratios; one consistent value on index-0
     representatives across the relation. The relation is read off the
     nonzero keys made of index-0 representatives only, and scanned in
-    sorted order.
+    sorted order. Such a key is led by a representative, so only the keys
+    g.support_index lists under a representative's id are read:
+    O(|component support| * r), not O(|support|), per component.
 
     A returned structure satisfies the factoring identity on every key of
     the component, so verify_factoring_identity has nothing left to find.
@@ -252,13 +251,7 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
                 },
             )
     s = len(first)
-    ordered: list[tuple[int, ...]] = []
-    norm_sets: list[tuple[Fraction, ...]] = []
-    for cls in sc.classes:
-        low = min(sc.ratio[z] for z in cls)
-        pairs = sorted((sc.ratio[z] / low, z) for z in cls)
-        ordered.append(tuple(z for _, z in pairs))
-        norm_sets.append(tuple(t for t, _ in pairs))
+    ordered, norm_sets = _index_order(sc)
     for cls, norms in zip(sc.classes[1:], norm_sets[1:]):
         if norms != norm_sets[0]:
             return HardnessWitness(
@@ -274,10 +267,15 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     mu = norm_sets[0]
     index_of = {z: i for members in ordered for i, z in enumerate(members)}
     class_of_rep = {members[0]: c for c, members in enumerate(ordered)}
-    relation: dict[tuple[int, ...], Fraction] = {}
-    for key, v in g.weights.items():
-        if all(z in class_of_rep for z in key):
-            relation[tuple(sorted(class_of_rep[z] for z in key))] = v
+    class_id = class_of_rep.__getitem__
+    rep_key = frozenset(class_of_rep).issuperset
+    led = g.support_index.led
+    table = g.weights
+    relation = {
+        tuple(sorted(map(class_id, key))): table[key]
+        for rep in class_of_rep
+        for key in filter(rep_key, led.get(rep, ()))
+    }
     constant = None
     first_key: tuple[int, ...] = ()
     for alpha in sorted(relation):
@@ -306,6 +304,19 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
         constant=constant,
         relation=frozenset(relation),
     )
+
+
+def _index_order(sc: SimClasses) -> tuple[list[tuple[int, ...]], list[tuple[Fraction, ...]]]:
+    """Each class's members by index (ascending ratio over the class's
+    least ratio, ties by id), and those normalized ratios."""
+    ordered: list[tuple[int, ...]] = []
+    norm_sets: list[tuple[Fraction, ...]] = []
+    for cls in sc.classes:
+        low = min(sc.ratio[z] for z in cls)
+        pairs = sorted((sc.ratio[z] / low, z) for z in cls)
+        ordered.append(tuple(z for _, z in pairs))
+        norm_sets.append(tuple(t for t, _ in pairs))
+    return ordered, norm_sets
 
 
 def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitness | None:
@@ -542,41 +553,39 @@ def classify(g: SymFunc) -> Classification:
     check hands the relation's completion function to the two group
     stages. The first failure becomes the witness; otherwise the
     per-component structures are returned.
+
+    Kept and removed elements and the components come from g.support_index
+    on original ids, as prune_domain and domain_components read them, with
+    no renumbered copy of the table. The index is built on first use, in
+    one pass over the keys, and the stages read it for every component.
     """
-    pr = prune_domain(g)
-    if not pr.kept:
-        return Classification(g, True, (), tuple(pr.removed), (), None)
-    components = tuple(
-        tuple(pr.kept[z] for z in comp) for comp in domain_components(pr.func)
-    )
+    idx = g.support_index
+    if not idx.kept:
+        return Classification(g, True, (), idx.removed, (), None)
     out: list[ComponentStructure] = []
-    for comp in components:
+    for comp in idx.components:
         res = _classify_component(g, comp)
         if isinstance(res, HardnessWitness):
-            return Classification(g, False, pr.kept, pr.removed, (), res)
+            return Classification(g, False, idx.kept, idx.removed, (), res)
         out.append(res)
-    return Classification(g, True, pr.kept, pr.removed, tuple(out), None)
+    return Classification(g, True, idx.kept, idx.removed, tuple(out), None)
 
 
 def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     """Re-verify a witness against a table.
 
-    Value-level kinds are checked straight off the table; class-level
-    kinds recompute the (deterministic) classes for the recorded
-    component and re-run the failed check. The two group-level kinds
+    FactoringIdentityViolation is checked straight off the table. Every
+    other kind holds only on a domain component of g, read from
+    g.support_index (free when classify built it for the same g). A
+    RepValueInconsistent witness must name two nonzero keys made of
+    index-0 representatives, with the stated, different values. The other
+    class-level kinds recompute the (deterministic) classes for the
+    component and re-run the failed check; the two group-level kinds
     re-run the component's whole pipeline and compare kind and evidence.
     """
     if w.kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {w.kind!r}")
     ev = w.evidence
-    if w.kind == KIND_REP_VALUE_INCONSISTENT:
-        va = g.value(tuple(ev["tuple_a"]))
-        vb = g.value(tuple(ev["tuple_b"]))
-        return (
-            va == parse_rational(ev["value_a"])
-            and vb == parse_rational(ev["value_b"])
-            and va != vb
-        )
     if w.kind == KIND_FACTORING_IDENTITY_VIOLATION:
         lhs = g.value(tuple(ev["elements"])) ** g.r
         rhs = Fraction(1)
@@ -587,18 +596,23 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
             and rhs == parse_rational(ev["rhs"])
             and lhs != rhs
         )
-    if not w.component:
+    if tuple(w.component) not in g.support_index.components:
         return False
     if w.kind in (KIND_NOT_ASSOCIATIVE, KIND_EQUATION_MISMATCH):
-        try:
-            got = _classify_component(g, w.component)
-        except ValueError:
-            return False
+        got = _classify_component(g, w.component)
         return isinstance(got, HardnessWitness) and got.kind == w.kind and got.evidence == ev
-    try:
-        sc = sim_classes(g, w.component)
-    except ValueError:
-        return False
+    sc = sim_classes(g, w.component)
+    if w.kind == KIND_REP_VALUE_INCONSISTENT:
+        ta, tb = tuple(ev["tuple_a"]), tuple(ev["tuple_b"])
+        # a key absent from weights reads None, which equals no value
+        va, vb = g.weights.get(ta), g.weights.get(tb)
+        reps = {members[0] for members in _index_order(sc)[0]}
+        return (
+            reps.issuperset(ta + tb)
+            and va == parse_rational(ev["value_a"])
+            and vb == parse_rational(ev["value_b"])
+            and va != vb
+        )
     classes = {tuple(c) for c in sc.classes}
     if w.kind == KIND_UNEQUAL_CLASS_SIZES:
         ca, cb = tuple(ev["class_a"]), tuple(ev["class_b"])

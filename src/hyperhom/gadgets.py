@@ -11,6 +11,7 @@ with multiplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -125,28 +126,33 @@ def tilde_f(g: SymFunc, k: int) -> tuple[tuple[Fraction, ...], ...]:
     Entry (z, z') is sum over ordered (k-1)-tuples w of f(z,w) * f(z',w);
     symmetric, with positive diagonal once the domain is pruned. Driven by
     the support of f: each nonzero key splits into (z, w) once per distinct
-    element z, and only pairs sharing a w are multiplied.
+    element z, and only pairs sharing a w are multiplied. Values are scaled
+    to integers over one common denominator D, so the products and sums are
+    integer arithmetic, and each entry becomes one Fraction over D^2.
     """
     if not 2 <= k <= g.r:
         raise ValueError(f"need 2 <= k <= r, got k={k}")
     f = marginalize(g, k)
-    slices: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    den = math.lcm(*(v.denominator for v in f.values.values()))
+    slices: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for key, v in f.values.items():
+        scaled = v.numerator * (den // v.denominator)
         for i, z in enumerate(key):
             if i == 0 or key[i - 1] != z:
-                slices.setdefault(key[:i] + key[i + 1 :], []).append((z, v))
-    out = [[Fraction(0)] * g.q for _ in range(g.q)]
+                slices.setdefault(key[:i] + key[i + 1 :], []).append((z, scaled))
+    sums = [[0] * g.q for _ in range(g.q)]
     for w, pairs in slices.items():
         mult = orderings_count(w)
         for z, vz in pairs:
-            row, scaled = out[z], mult * vz
+            row, scaled = sums[z], mult * vz
             for zp, vzp in pairs:
                 if zp >= z:
                     row[zp] += scaled * vzp
-    for z in range(g.q):
-        for zp in range(z + 1, g.q):
-            out[zp][z] = out[z][zp]
-    return tuple(tuple(row) for row in out)
+    den2 = den * den
+    for z, row in enumerate(sums):
+        for zp in range(z, g.q):
+            row[zp] = sums[zp][z] = Fraction(row[zp], den2)
+    return tuple(map(tuple, sums))
 
 
 def vertex_power(g_instance: Hypergraph, j: int) -> GadgetResult:

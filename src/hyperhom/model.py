@@ -24,7 +24,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -33,6 +34,7 @@ from .exactcore import format_rational, parse_rational
 __all__ = [
     "FormatError",
     "SymFunc",
+    "SupportIndex",
     "Hypergraph",
     "CspInstance",
     "Instance",
@@ -103,8 +105,75 @@ class SymFunc:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.weights)
 
+    @cached_property
+    def support_index(self) -> "SupportIndex":
+        """The table's SupportIndex, built on first use and kept: weights
+        is never mutated, so the index stays valid for the life of g."""
+        return SupportIndex.of(self)
+
 
 _ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, eq=False)
+class SupportIndex:
+    """What the nonzero keys of a weight function say about its domain.
+
+    holders[z] lists the nonzero keys that hold z, each once, in table
+    order; led[z] lists those whose least element is z. kept holds the
+    elements that occur in some key (with nonnegative weights, those with
+    positive unary marginal), removed the rest of 0..q-1, and components
+    the connected components of the co-occurrence relation on kept, each
+    ascending, sorted by least element; all on original ids.
+
+    Costs two passes over the keys, O(|support| * r): one lists the
+    elements, one files each key under them. The components come from a
+    search that reads each element's holders at most once, in C loops
+    (O(|support| * r^2) element visits at most), and stops as soon as every
+    kept element is placed, so one dense component reads a single element's
+    keys. Memory: r + 1 references per key. prune_domain,
+    domain_components, classify, sim_classes, check_product_structure and
+    replay_witness read it, so a table is scanned once however many
+    components it has.
+    """
+
+    holders: Mapping[int, list[tuple[int, ...]]]
+    led: Mapping[int, list[tuple[int, ...]]]
+    kept: tuple[int, ...]
+    removed: tuple[int, ...]
+    components: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def of(g: SymFunc) -> "SupportIndex":
+        elements = sorted(set(chain.from_iterable(g.weights)))
+        holders: dict[int, list[tuple[int, ...]]] = {z: [] for z in elements}
+        led: dict[int, list[tuple[int, ...]]] = {z: [] for z in elements}
+        for key in g.weights:
+            led[key[0]].append(key)
+            prev = None
+            for z in key:  # keys are sorted, so repeats are adjacent
+                if z != prev:
+                    holders[z].append(key)
+                    prev = z
+        if len(elements) == g.q:
+            removed: tuple[int, ...] = ()
+        else:
+            removed = tuple(z for z in range(g.q) if z not in holders)
+        # two elements co-occur exactly when some nonzero key holds both
+        unplaced = set(elements)
+        components = []
+        for least in elements:
+            if least not in unplaced:
+                continue
+            unplaced.discard(least)
+            comp, frontier = [least], [least]
+            while frontier and unplaced:
+                reached = unplaced.intersection(chain.from_iterable(holders[frontier.pop()]))
+                unplaced -= reached
+                comp += reached
+                frontier += reached
+            components.append(tuple(sorted(comp)))
+        return SupportIndex(holders, led, tuple(elements), removed, tuple(components))
 
 
 @dataclass(frozen=True)
@@ -472,16 +541,10 @@ class PruneResult:
     removed: tuple[int, ...]
 
 
-def _support_elements(g: SymFunc) -> set[int]:
-    """Elements that occur in a nonzero key: with nonnegative weights, those
-    whose unary marginal is positive."""
-    return {z for key in g.weights for z in key}
-
-
 def prune_domain(g: SymFunc) -> PruneResult:
-    present = _support_elements(g)
-    kept = tuple(z for z in range(g.q) if z in present)
-    removed = tuple(z for z in range(g.q) if z not in present)
+    """Drop the elements no nonzero key holds, read off g.support_index."""
+    idx = g.support_index
+    kept, removed = idx.kept, idx.removed
     if not removed:
         return PruneResult(g, kept, removed)
     if not kept:
@@ -491,7 +554,7 @@ def prune_domain(g: SymFunc) -> PruneResult:
     out = SymFunc(
         len(kept), g.r, {tuple(renum[z] for z in key): w for key, w in g.weights.items()}
     )
-    if len(_support_elements(out)) != out.q:
+    if len(out.support_index.kept) != out.q:
         raise AssertionError("pruning left an element with zero unary marginal")
     return PruneResult(out, kept, removed)
 
@@ -525,18 +588,12 @@ def domain_components(g: SymFunc) -> tuple[tuple[int, ...], ...]:
 
     Requires a pruned function (every element has positive unary marginal);
     components are sorted by least element, each listed ascending. Read off
-    the nonzero keys: O(|support| * r).
+    g.support_index: O(|support| * r) on first use, then free.
     """
-    present = _support_elements(g)
-    missing = [z for z in range(g.q) if z not in present]
-    if missing:
-        raise ValueError(f"domain not pruned: zero unary marginal at {missing}")
-    # two elements co-occur exactly when some nonzero key holds both
-    root = link_roots(g.q, g.weights)
-    groups: dict[int, list[int]] = {}
-    for z in range(g.q):
-        groups.setdefault(root[z], []).append(z)
-    return tuple(tuple(groups[least]) for least in sorted(groups))
+    idx = g.support_index
+    if idx.removed:
+        raise ValueError(f"domain not pruned: zero unary marginal at {list(idx.removed)}")
+    return idx.components
 
 
 @dataclass(frozen=True)

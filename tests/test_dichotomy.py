@@ -253,6 +253,35 @@ def test_replay_rejects_stale_witness():
         replay_witness(fx.parity(), HardnessWitness("NoSuchKind", (), {}))
 
 
+def test_replay_rejects_forged_witnesses_on_tractable_tables():
+    # each evidence is true of the table, but off a domain component or
+    # off the index-0 representatives, so it shows no hardness
+    z2 = (fx.group_from_factors(2), 1, (Fraction(1),), 0, Fraction(1))
+    two_parity = fx.structured_family([z2, z2])
+    forged = [
+        (fx.mixed(), HardnessWitness(
+            "UnequalClassSizes", (0, 1, 2),
+            {"class_a": [0, 1], "class_b": [2], "size_a": 2, "size_b": 1})),
+        (fx.parity_allones_blocks(), HardnessWitness(
+            "UnequalClassSizes", (0, 1, 2, 3),
+            {"class_a": [0], "class_b": [2, 3], "size_a": 1, "size_b": 2})),
+        (fx.geometric(), HardnessWitness(
+            "RepValueInconsistent", (0, 1),
+            {"tuple_a": [0, 0, 0], "value_a": "1", "tuple_b": [0, 0, 1], "value_b": "2"})),
+        (two_parity, HardnessWitness(
+            "NotLatin", (0, 1, 2, 3), {"prefix": [0, 2], "completions": []})),
+    ]
+    for g, w in forged:
+        assert classify(g).tractable
+        assert not replay_witness(g, w), w.kind
+    # a genuine RepValueInconsistent names index-0 representatives only
+    g = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(2)})
+    w = classify(g).witness
+    assert w.evidence["tuple_a"] == [0, 0, 0] and replay_witness(g, w)
+    for tup in ([0, 0, 1], [1, 1, 1]):  # a zero key is no key
+        assert not replay_witness(g, HardnessWitness(w.kind, w.component, {**w.evidence, "tuple_b": tup}))
+
+
 def test_replay_confirms_doctored_equation_witness_false():
     completion = latin_check(frozenset({(0, 0, 0), (0, 1, 1)}), 3, 2)
     gs = reconstruct_group(completion, 3, 2)

@@ -26,7 +26,7 @@ from hyperhom.gadgets import (
     two_stretch,
     vertex_power,
 )
-from hyperhom.model import CspInstance, Hypergraph, MarginalTable, marginalize, orderings_count
+from hyperhom.model import CspInstance, Hypergraph, MarginalTable, SymFunc, marginalize, orderings_count
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
 TRIANGLE = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
@@ -140,6 +140,24 @@ def test_tilde_matches_dense_walk_on_seeded_tables():
     for g in tables:
         for k in range(2, g.r + 1):
             assert tilde_f(g, k) == dense_tilde_f(g, k), (g.q, g.r, k)
+
+
+def test_tilde_integer_sums_match_dense_walk_on_coprime_denominators():
+    # tilde_f sums over one common denominator: weights over distinct large
+    # primes make it the product of all of them, and every entry's Fraction
+    # must still come out in lowest terms, equal to the dense walk's
+    rng = random.Random(7919)
+    primes = [1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647, 10**9 + 9, 999_999_937]
+    for q, r in ((3, 3), (4, 3), (3, 4)):
+        keys = list(combinations_with_replacement(range(q), r))
+        weights = {
+            key: Fraction(rng.randint(1, 10**12), rng.choice(primes))
+            for key in keys
+            if rng.random() < 0.7
+        }
+        g = SymFunc.from_weights(q, r, weights)
+        for k in range(2, r + 1):
+            assert tilde_f(g, k) == dense_tilde_f(g, k), (q, r, k)
 
 
 def test_stretch_identity():
