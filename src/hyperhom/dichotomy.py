@@ -7,8 +7,9 @@ the solution set of one linear equation over a finite Abelian group on
 the classes. classify() runs five stages on each component (similarity
 classes, product structure, Latin check, group reconstruction, equation
 check) and returns either the per-component structure or a
-machine-checkable witness of the first failed check; replay_witness()
-re-verifies a witness against the table it came from.
+machine-checkable witness of the first failed check. replay_witness()
+reruns the stages on the witness's component: a witness replays exactly
+when they fail there with that witness.
 
 All structures refer to elements by their original ids, so results can
 be read against the input table directly.
@@ -215,8 +216,14 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     multiset of min-normalized ratios; one consistent value on index-0
     representatives across the relation. The relation is read off the
     nonzero keys made of index-0 representatives only, and scanned in
-    sorted order. Such a key is led by a representative, so only the keys
-    g.support_index lists under a representative's id are read:
+    sorted order of class multisets, stopping at the first value that
+    differs. The members whose least class is c are the keys
+    g.support_index lists under c's representative that hold otherwise
+    only representatives of classes >= c, and visiting the groups by c,
+    each sorted, gives the sorted order of the whole relation. A group
+    whose values all equal the constant has no mismatch to name, so it is
+    not sorted. A witness reads only the groups up to its member's, and a
+    structure reads each key of the component at most r times:
     O(|component support| * r), not O(|support|), per component.
 
     A returned structure satisfies the factoring identity on every key of
@@ -251,7 +258,13 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
                 },
             )
     s = len(first)
-    ordered, norm_sets = _index_order(sc)
+    ordered: list[tuple[int, ...]] = []
+    norm_sets: list[tuple[Fraction, ...]] = []
+    for cls in sc.classes:
+        low = min(sc.ratio[z] for z in cls)
+        pairs = sorted((sc.ratio[z] / low, z) for z in cls)
+        ordered.append(tuple(z for _, z in pairs))
+        norm_sets.append(tuple(t for t, _ in pairs))
     for cls, norms in zip(sc.classes[1:], norm_sets[1:]):
         if norms != norm_sets[0]:
             return HardnessWitness(
@@ -266,33 +279,39 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
             )
     mu = norm_sets[0]
     index_of = {z: i for members in ordered for i, z in enumerate(members)}
-    class_of_rep = {members[0]: c for c, members in enumerate(ordered)}
-    class_id = class_of_rep.__getitem__
-    rep_key = frozenset(class_of_rep).issuperset
-    led = g.support_index.led
+    reps = [members[0] for members in ordered]
+    class_id = {rep: c for c, rep in enumerate(reps)}.__getitem__
+    holders = g.support_index.holders
     table = g.weights
-    relation = {
-        tuple(sorted(map(class_id, key))): table[key]
-        for rep in class_of_rep
-        for key in filter(rep_key, led.get(rep, ()))
-    }
+    relation: set[tuple[int, ...]] = set()
     constant = None
     first_key: tuple[int, ...] = ()
-    for alpha in sorted(relation):
-        v = relation[alpha]
-        if constant is None:
-            constant, first_key = v, alpha
-        elif v != constant:
-            return HardnessWitness(
-                KIND_REP_VALUE_INCONSISTENT,
-                sc.component,
-                {
-                    "tuple_a": sorted(ordered[c][0] for c in first_key),
-                    "value_a": format_rational(constant),
-                    "tuple_b": sorted(ordered[c][0] for c in alpha),
-                    "value_b": format_rational(v),
-                },
-            )
+    later = set(reps)  # the representatives of classes >= c
+    for c, rep in enumerate(reps):
+        # the members whose least class is c
+        group = {
+            tuple(sorted(map(class_id, key))): table[key]
+            for key in filter(later.issuperset, holders[rep])
+        }
+        later.discard(rep)
+        # count() compares by identity first, so a group that agrees costs no
+        # sort and, where equal weights share one object, no Fraction compare
+        if constant is None or list(group.values()).count(constant) != len(group):
+            for alpha, v in sorted(group.items()):  # distinct members: no value is compared
+                if constant is None:
+                    constant, first_key = v, alpha
+                elif v != constant:
+                    return HardnessWitness(
+                        KIND_REP_VALUE_INCONSISTENT,
+                        sc.component,
+                        {
+                            "tuple_a": sorted(reps[i] for i in first_key),
+                            "value_a": format_rational(constant),
+                            "tuple_b": sorted(reps[i] for i in alpha),
+                            "value_b": format_rational(v),
+                        },
+                    )
+        relation.update(group)
     if constant is None:
         raise ValueError("component carries no nonzero weight; prune the domain first")
     return FactorStructure(
@@ -304,19 +323,6 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
         constant=constant,
         relation=frozenset(relation),
     )
-
-
-def _index_order(sc: SimClasses) -> tuple[list[tuple[int, ...]], list[tuple[Fraction, ...]]]:
-    """Each class's members by index (ascending ratio over the class's
-    least ratio, ties by id), and those normalized ratios."""
-    ordered: list[tuple[int, ...]] = []
-    norm_sets: list[tuple[Fraction, ...]] = []
-    for cls in sc.classes:
-        low = min(sc.ratio[z] for z in cls)
-        pairs = sorted((sc.ratio[z] / low, z) for z in cls)
-        ordered.append(tuple(z for _, z in pairs))
-        norm_sets.append(tuple(t for t, _ in pairs))
-    return ordered, norm_sets
 
 
 def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitness | None:
@@ -557,7 +563,7 @@ def classify(g: SymFunc) -> Classification:
     Kept and removed elements and the components come from g.support_index
     on original ids, as prune_domain and domain_components read them, with
     no renumbered copy of the table. The index is built on first use, in
-    one pass over the keys, and the stages read it for every component.
+    two passes over the keys, and the stages read it for every component.
     """
     idx = g.support_index
     if not idx.kept:
@@ -574,14 +580,14 @@ def classify(g: SymFunc) -> Classification:
 def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     """Re-verify a witness against a table.
 
-    FactoringIdentityViolation is checked straight off the table. Every
-    other kind holds only on a domain component of g, read from
-    g.support_index (free when classify built it for the same g). A
-    RepValueInconsistent witness must name two nonzero keys made of
-    index-0 representatives, with the stated, different values. The other
-    class-level kinds recompute the (deterministic) classes for the
-    component and re-run the failed check; the two group-level kinds
-    re-run the component's whole pipeline and compare kind and evidence.
+    FactoringIdentityViolation, a kind classify never emits, is checked
+    straight off the table. Every other kind must name a domain component
+    of g, read from g.support_index (free when classify built it for the
+    same g). The component's stages then run again, each at most once,
+    and the witness holds exactly when they fail there with the same kind
+    and evidence. The stages are deterministic, so evidence that is true
+    of the table but is not the first failure classify finds replays
+    False, as does malformed evidence.
     """
     if w.kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {w.kind!r}")
@@ -598,48 +604,5 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
         )
     if tuple(w.component) not in g.support_index.components:
         return False
-    if w.kind in (KIND_NOT_ASSOCIATIVE, KIND_EQUATION_MISMATCH):
-        got = _classify_component(g, w.component)
-        return isinstance(got, HardnessWitness) and got.kind == w.kind and got.evidence == ev
-    sc = sim_classes(g, w.component)
-    if w.kind == KIND_REP_VALUE_INCONSISTENT:
-        ta, tb = tuple(ev["tuple_a"]), tuple(ev["tuple_b"])
-        # a key absent from weights reads None, which equals no value
-        va, vb = g.weights.get(ta), g.weights.get(tb)
-        reps = {members[0] for members in _index_order(sc)[0]}
-        return (
-            reps.issuperset(ta + tb)
-            and va == parse_rational(ev["value_a"])
-            and vb == parse_rational(ev["value_b"])
-            and va != vb
-        )
-    classes = {tuple(c) for c in sc.classes}
-    if w.kind == KIND_UNEQUAL_CLASS_SIZES:
-        ca, cb = tuple(ev["class_a"]), tuple(ev["class_b"])
-        return ca in classes and cb in classes and len(ca) != len(cb)
-    if w.kind == KIND_RATIO_MULTISET_MISMATCH:
-        ca, cb = tuple(ev["class_a"]), tuple(ev["class_b"])
-        if ca not in classes or cb not in classes:
-            return False
-
-        def norms(cls: tuple[int, ...]) -> list[str]:
-            low = min(sc.ratio[z] for z in cls)
-            return [format_rational(t) for t in sorted(sc.ratio[z] / low for z in cls)]
-
-        return (
-            norms(ca) == ev["ratios_a"]
-            and norms(cb) == ev["ratios_b"]
-            and ev["ratios_a"] != ev["ratios_b"]
-        )
-    fs = check_product_structure(g, sc)
-    if isinstance(fs, HardnessWitness):
-        return False
-    rep_to_class = {rep: idx for idx, rep in enumerate(fs.reps)}
-    # the one kind left is NotLatin
-    if len(ev["prefix"]) != g.r - 1 or any(z not in rep_to_class for z in ev["prefix"]):
-        return False
-    prefix = tuple(rep_to_class[z] for z in ev["prefix"])
-    completions = [
-        rep for c, rep in enumerate(fs.reps) if tuple(sorted(prefix + (c,))) in fs.relation
-    ]
-    return completions == ev["completions"] and len(completions) != 1
+    got = _classify_component(g, w.component)
+    return isinstance(got, HardnessWitness) and got.kind == w.kind and got.evidence == w.evidence

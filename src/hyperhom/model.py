@@ -120,25 +120,25 @@ class SupportIndex:
     """What the nonzero keys of a weight function say about its domain.
 
     holders[z] lists the nonzero keys that hold z, each once, in table
-    order; led[z] lists those whose least element is z. kept holds the
-    elements that occur in some key (with nonnegative weights, those with
-    positive unary marginal), removed the rest of 0..q-1, and components
-    the connected components of the co-occurrence relation on kept, each
-    ascending, sorted by least element; all on original ids.
+    order. kept holds the elements that occur in some key (with
+    nonnegative weights, those with positive unary marginal), removed the
+    rest of 0..q-1, and components the connected components of the
+    co-occurrence relation on kept, each ascending, sorted by least
+    element; all on original ids.
 
     Costs two passes over the keys, O(|support| * r): one lists the
     elements, one files each key under them. The components come from a
     search that reads each element's holders at most once, in C loops
     (O(|support| * r^2) element visits at most), and stops as soon as every
     kept element is placed, so one dense component reads a single element's
-    keys. Memory: r + 1 references per key. prune_domain,
-    domain_components, classify, sim_classes, check_product_structure and
-    replay_witness read it, so a table is scanned once however many
-    components it has.
+    keys. Memory: at most r references per key. sim_classes and
+    check_product_structure read the holders; prune_domain,
+    domain_components, classify and replay_witness read kept, removed and
+    the components; so a table is scanned once however many components it
+    has.
     """
 
     holders: Mapping[int, list[tuple[int, ...]]]
-    led: Mapping[int, list[tuple[int, ...]]]
     kept: tuple[int, ...]
     removed: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
@@ -147,9 +147,7 @@ class SupportIndex:
     def of(g: SymFunc) -> "SupportIndex":
         elements = sorted(set(chain.from_iterable(g.weights)))
         holders: dict[int, list[tuple[int, ...]]] = {z: [] for z in elements}
-        led: dict[int, list[tuple[int, ...]]] = {z: [] for z in elements}
         for key in g.weights:
-            led[key[0]].append(key)
             prev = None
             for z in key:  # keys are sorted, so repeats are adjacent
                 if z != prev:
@@ -173,7 +171,7 @@ class SupportIndex:
                 comp += reached
                 frontier += reached
             components.append(tuple(sorted(comp)))
-        return SupportIndex(holders, led, tuple(elements), removed, tuple(components))
+        return SupportIndex(holders, tuple(elements), removed, tuple(components))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 from hyperhom import dichotomy
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup, decompose
+from hyperhom.cli import _classification_payload
 from hyperhom.dichotomy import (
     GroupStructure,
     HardnessWitness,
@@ -219,7 +220,10 @@ def test_classify_hard_fixtures_and_replay():
         assert cls.witness.kind == kind
         assert cls.witness.kind in WITNESS_KINDS
         assert replay_witness(g, cls.witness)
-        json.dumps(cls.witness.evidence)  # witness must be machine-readable
+        # the CLI prints the witness as JSON; read back, its component is a list
+        printed = json.loads(json.dumps(_classification_payload(cls)))["witness"]
+        assert isinstance(printed["component"], list)
+        assert replay_witness(g, HardnessWitness(**printed))
 
     g = _equation_mismatch_table()
     w = classify(g).witness
@@ -248,6 +252,25 @@ def test_replay_rejects_stale_witness():
         for prefix in ([0], [], [0, 0, 0]):
             forged = HardnessWitness("NotLatin", component, {"prefix": prefix, "completions": []})
             assert not replay_witness(g, forged), (g.q, component, prefix)
+
+    # malformed evidence is no witness
+    rep_value = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(2)})
+    for g, kind, evidence in (
+        (fx.not_all_zero(), "NotLatin", {}),
+        (fx.not_all_zero(), "NotLatin", {"prefix": 5}),
+        (rep_value, "RepValueInconsistent", {}),
+    ):
+        component = classify(g).witness.component
+        assert not replay_witness(g, HardnessWitness(kind, component, evidence)), evidence
+
+    # true of the table, but not the first mismatch classify finds
+    g = SymFunc.from_weights(
+        2, 3, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(2), (1, 1, 1): Fraction(3)}
+    )
+    w = classify(g).witness
+    assert w.evidence["tuple_b"] == [0, 1, 1] and replay_witness(g, w)
+    later = HardnessWitness(w.kind, w.component, {**w.evidence, "tuple_b": [1, 1, 1], "value_b": "3"})
+    assert not replay_witness(g, later)
 
     with pytest.raises(ValueError):
         replay_witness(fx.parity(), HardnessWitness("NoSuchKind", (), {}))
@@ -325,6 +348,12 @@ def test_classify_runs_each_stage_once_per_component(monkeypatch):
         cls = classify(fx.structured_family(blocks, r=r))
         assert cls.tractable and len(cls.components) == 3
         assert calls == dict.fromkeys(names, 3)
+    # a replay reruns one component's stages, each at most once
+    g = _equation_mismatch_table()
+    w = classify(g).witness
+    calls.update(dict.fromkeys(names, 0))
+    assert replay_witness(g, w)
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_classify_random_structured_families():
