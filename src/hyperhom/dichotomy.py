@@ -587,22 +587,26 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     and the witness holds exactly when they fail there with the same kind
     and evidence. The stages are deterministic, so evidence that is true
     of the table but is not the first failure classify finds replays
-    False, as does malformed evidence.
+    False, as does a malformed witness: a missing or mistyped field, or a
+    component that is not a sequence of elements.
     """
     if w.kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {w.kind!r}")
     ev = w.evidence
-    if w.kind == KIND_FACTORING_IDENTITY_VIOLATION:
-        lhs = g.value(tuple(ev["elements"])) ** g.r
-        rhs = Fraction(1)
-        for tup in ev["uniform"]:
-            rhs *= g.value(tuple(tup))
-        return (
-            lhs == parse_rational(ev["lhs"])
-            and rhs == parse_rational(ev["rhs"])
-            and lhs != rhs
-        )
-    if tuple(w.component) not in g.support_index.components:
+    try:
+        if w.kind == KIND_FACTORING_IDENTITY_VIOLATION:
+            lhs = g.value(tuple(ev["elements"])) ** g.r
+            rhs = Fraction(1)
+            for tup in ev["uniform"]:
+                rhs *= g.value(tuple(tup))
+            return (
+                lhs == parse_rational(ev["lhs"])
+                and rhs == parse_rational(ev["rhs"])
+                and lhs != rhs
+            )
+        if tuple(w.component) not in g.support_index.components:
+            return False
+    except (KeyError, TypeError, ValueError):  # missing, mistyped or unparsable fields
         return False
     got = _classify_component(g, w.component)
     return isinstance(got, HardnessWitness) and got.kind == w.kind and got.evidence == w.evidence

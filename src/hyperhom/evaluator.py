@@ -12,9 +12,12 @@ program kept as a cross-check.
 from __future__ import annotations
 
 import heapq
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .abelian import count_homs
@@ -120,12 +123,17 @@ def _dfs_plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
 def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     """Oracle evaluation by depth-first search over assignments.
 
-    Scopes are checked as soon as their last vertex is assigned and zero
-    partial products are pruned; weights are pre-scaled to integers so the
-    hot loop never touches Fractions. The search is a loop over per-depth
-    state, so its depth is not bound by the recursion limit. Raises
-    CapExceeded when q^n exceeds the cap (argument, then
-    HYPERHOM_BRUTE_CAP, then the default).
+    Scopes are checked as soon as their last vertex is assigned, and a
+    partial product is pruned at its first zero. Weights are pre-scaled
+    to one integer table, so the search multiplies plain ints and builds
+    one Fraction at the end. Value z is placed as base + z, and the table
+    is keyed by the product of a key's placed values, so each scope is
+    read by one precompiled itemgetter and math.prod, with no sort. The
+    last vertex runs as an inner loop over its q placed values. The
+    search is a loop over per-depth state, so its depth is not bound by
+    the recursion limit and its memory is O(n). Raises CapExceeded when
+    q^n exceeds the cap (argument, then HYPERHOM_BRUTE_CAP, then the
+    default).
     """
     _check_instance(g.r, inst)
     cap = resolve_brute_cap(cap)
@@ -135,53 +143,87 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     if not inst.scopes:
         return Fraction(q) ** n
     scale = lcm_all(w.denominator for w in g.weights.values())
-    table = {key: int(w * scale) for key, w in g.weights.items()}
+    # prod(base + z) over a key's values z has the elementary symmetric
+    # sums of the z as its digits in base (2q)^r, each below the base, so
+    # it tells multisets apart
+    base = (2 * q) ** g.r
+    table = {
+        math.prod(base + z for z in key): w.numerator * (scale // w.denominator)
+        for key, w in g.weights.items()
+    }
     _, completing = _dfs_plan(inst)
-    # sigma[d] is the value under trial at depth d (-1 before the first);
-    # weights[d] is the product of the scopes completed above depth d.
-    sigma = [-1] * n
+    # r >= 3, so each getter returns a tuple
+    getters = [[itemgetter(*positions) for positions in level] for level in completing]
+    final = getters[-1]
+    end = base + q
+    leaves = range(base, end)
+    # placed[d] is base + the value under trial at depth d (base - 1
+    # before the first); weights[d] is the product of the scopes
+    # completed above depth d.
+    placed = [base - 1] * n
     weights = [1] * n
     lookup = table.get
     total = 0
     last = n - 1
-    depth = 0
+    depth = 0 if last else -1
     while depth >= 0:
-        value = sigma[depth] + 1
-        if value == q:
-            sigma[depth] = -1
+        place = placed[depth] + 1
+        if place == end:
+            placed[depth] = base - 1
             depth -= 1
             continue
-        sigma[depth] = value
+        placed[depth] = place
         w = weights[depth]
-        for positions in completing[depth]:
-            f = lookup(tuple(sorted(sigma[p] for p in positions)))
+        for get in getters[depth]:
+            f = lookup(math.prod(get(placed)))
             if f is None:
                 w = 0
                 break
             w *= f
         if not w:
             continue
-        if depth == last:
-            total += w
-        else:
+        if depth + 1 < last:
             depth += 1
             weights[depth] = w
+        else:
+            total += _last_level(placed, last, leaves, final, lookup, w)
+    if not last:
+        total = _last_level(placed, last, leaves, final, lookup, 1)
     return Fraction(total, scale ** len(inst.scopes))
 
 
-def lambda_factor_direct(fs: FactorStructure, degs: Sequence[int], m_count: int) -> Fraction:
-    """Closed form C^M * prod_v sum_i mu[i]^d_v.
+def _last_level(placed, last, leaves, final, lookup, w0) -> int:
+    """Sum over the last vertex's placed values of w0 times its completed scopes."""
+    if not final:
+        return w0 * len(leaves)
+    total = 0
+    for place in leaves:
+        placed[last] = place
+        w = w0
+        for get in final:
+            f = lookup(math.prod(get(placed)))
+            if f is None:
+                break
+            w *= f
+        else:
+            total += w
+    return total
 
-    This is the per-component degree factor of the structured evaluation;
-    the root-free form is exact because the index-0 weight is 1 and the
-    constant contributes once per scope.
+
+def lambda_factor_direct(fs: FactorStructure, degs: Sequence[int], m_count: int) -> Fraction:
+    """Closed form C^M * prod_d (sum_i mu[i]^d)^count_d over the degree histogram.
+
+    This is the per-component degree factor of the structured evaluation:
+    each vertex of degree d contributes sum_i mu[i]^d, so equal degrees
+    share one power. The root-free form is exact because the index-0
+    weight is 1 and the constant contributes once per scope.
     """
     r = len(next(iter(fs.relation)))
     if sum(degs) != r * m_count:
         raise ValueError(f"degree sum {sum(degs)} != arity {r} * scopes {m_count}")
     out = fs.constant**m_count
-    for d in degs:
-        out *= sum(m**d for m in fs.mu)
+    for d, count in Counter(degs).items():
+        out *= pow(sum(m**d for m in fs.mu), count)
     return out
 
 
@@ -203,11 +245,15 @@ def lambda_monomial_dp(fs: FactorStructure, inst: Instance) -> tuple[MonomialTal
     """Degree factor as a sum over exponent vectors.
 
     Walks the vertices, giving each one index and adding its degree to
-    that index's load; states hold the loads of the first s-1 indices
-    (the last is forced by the total rM). The tally counts the index
-    assignments per exponent vector, and the value sums count times
-    monomial_value over the tally. It is computed independently of, and
-    must equal, lambda_factor_direct.
+    that index's load. A state holds the loads of the first s-1 indices
+    (the last is forced by the total rM) as one int in mixed radix
+    W = rM + 1, load i at W**i, so a vertex of degree d adds d * W**i.
+    Each final state is decoded once into the tally, which counts the
+    index assignments per exponent vector. The value sums count times
+    C^M * prod_i mu[i]^M_i over the tally in integers, over the common
+    denominator prod_i b_i^(rM) where mu[i] = a_i/b_i, and makes one
+    Fraction at the end. It never forms the per-vertex product, so it is
+    computed independently of, and must equal, lambda_factor_direct.
     """
     m_count = len(inst.scopes)
     if m_count < 1:
@@ -215,23 +261,38 @@ def lambda_monomial_dp(fs: FactorStructure, inst: Instance) -> tuple[MonomialTal
     degs = degrees(inst)
     r = len(next(iter(fs.relation)))
     s = fs.s
-    states: dict[tuple[int, ...], int] = {(0,) * (s - 1): 1}
-    for d in degs:
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, cnt in states.items():
-            for i in range(s - 1):
-                key = state[:i] + (state[i] + d,) + state[i + 1 :]
-                nxt[key] = nxt.get(key, 0) + cnt
-            nxt[state] = nxt.get(state, 0) + cnt
-        states = nxt
     total = r * m_count
-    coeff: dict[tuple[int, ...], int] = {}
-    value = Fraction(0)
-    for state, cnt in sorted(states.items()):
-        mvec = state + (total - sum(state),)
-        coeff[mvec] = cnt
-        value += cnt * monomial_value(fs, mvec)
-    return MonomialTally(s, total, coeff), value
+    radix = total + 1
+    places = [radix**i for i in range(s - 1)]
+    states: dict[int, int] = {0: 1}
+    for d in degs:
+        # the vertex takes index s-1 (state unchanged) or index i < s-1
+        nxt = dict(states)
+        get = nxt.get
+        for shift in [d * place for place in places]:
+            for state, cnt in states.items():
+                key = state + shift
+                nxt[key] = get(key, 0) + cnt
+        states = nxt
+    vectors = []
+    for state, cnt in states.items():
+        loads = []
+        for _ in places:
+            state, load = divmod(state, radix)
+            loads.append(load)
+        loads.append(total - sum(loads))
+        vectors.append((tuple(loads), cnt))
+    vectors.sort()
+    ratios = [(mu.numerator, mu.denominator) for mu in fs.mu]
+    numerator = 0
+    for mvec, cnt in vectors:
+        term = cnt
+        for (a, b), m in zip(ratios, mvec):
+            term *= a**m * b ** (total - m)
+        numerator += term
+    denominator = math.prod(b for _, b in ratios) ** total
+    value = fs.constant**m_count * Fraction(numerator, denominator)
+    return MonomialTally(s, total, dict(vectors)), value
 
 
 def monomial_value(fs: FactorStructure, mvec: Sequence[int]) -> Fraction:

@@ -276,6 +276,21 @@ def test_replay_rejects_stale_witness():
         replay_witness(fx.parity(), HardnessWitness("NoSuchKind", (), {}))
 
 
+def test_replay_returns_false_on_malformed_witnesses():
+    # a malformed witness is no witness: replay answers False, never raises
+    factoring = "FactoringIdentityViolation"
+    cases = [
+        (fx.not_all_zero(), HardnessWitness("NotLatin", 5, {})),  # component not iterable
+        (fx.not_all_zero(), HardnessWitness("NotLatin", [[0], [1]], {})),  # unhashable elements
+        (fx.geometric(), HardnessWitness(factoring, (0, 1), {})),
+        (fx.geometric(), HardnessWitness(factoring, (0, 1), {"elements": 3, "uniform": [], "lhs": "1", "rhs": "1"})),
+        (fx.geometric(), HardnessWitness(factoring, (0, 1), {"elements": [0, 0, 1], "uniform": [], "lhs": "x", "rhs": "1"})),
+        (fx.geometric(), HardnessWitness(factoring, (0, 1), {"elements": [0, 0, 1], "uniform": [[0, 0, 1]], "lhs": 8})),
+    ]
+    for g, w in cases:
+        assert replay_witness(g, w) is False, w
+
+
 def test_replay_rejects_forged_witnesses_on_tractable_tables():
     # each evidence is true of the table, but off a domain component or
     # off the index-0 representatives, so it shows no hardness

@@ -4,12 +4,14 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup
 from hyperhom.dichotomy import classify
+from hyperhom.exactcore import lcm_all
 from hyperhom.evaluator import (
     DEFAULT_BRUTE_CAP,
     CapExceeded,
@@ -341,3 +343,169 @@ def test_evaluate_auto_dispatch():
 def test_evaluate_structured_dp():
     report, _ = evaluate(fx.mixed(), EDGE, method="structured-dp")
     assert report.method == "structured-dp" and report.value == 256
+
+
+# --- differential references: sorted-tuple lookups and tuple DP states,
+# sharing no key or state encoding with the evaluators
+
+
+def _reference_bruteforce(g, inst):
+    """DFS over assignments with sorted-tuple table lookups and a pushed
+    last depth; same plan and pruning as eval_bruteforce."""
+    n, q = inst.n, g.q
+    if not inst.scopes:
+        return Fraction(q) ** n
+    scale = lcm_all(w.denominator for w in g.weights.values())
+    table = {key: int(w * scale) for key, w in g.weights.items()}
+    _, completing = _dfs_plan(inst)
+    sigma, weights = [-1] * n, [1] * n
+    total, last, depth = 0, n - 1, 0
+    while depth >= 0:
+        value = sigma[depth] + 1
+        if value == q:
+            sigma[depth] = -1
+            depth -= 1
+            continue
+        sigma[depth] = value
+        w = weights[depth]
+        for positions in completing[depth]:
+            f = table.get(tuple(sorted(sigma[p] for p in positions)))
+            if f is None:
+                w = 0
+                break
+            w *= f
+        if not w:
+            continue
+        if depth == last:
+            total += w
+        else:
+            depth += 1
+            weights[depth] = w
+    return Fraction(total, scale ** len(inst.scopes))
+
+
+def _reference_monomial_dp(fs, inst):
+    """Tuple states of the first s-1 loads, summed as Fractions."""
+    degs = degrees(inst)
+    r = len(next(iter(fs.relation)))
+    states = {(0,) * (fs.s - 1): 1}
+    for d in degs:
+        nxt = {}
+        for state, cnt in states.items():
+            for i in range(fs.s - 1):
+                key = state[:i] + (state[i] + d,) + state[i + 1 :]
+                nxt[key] = nxt.get(key, 0) + cnt
+            nxt[state] = nxt.get(state, 0) + cnt
+        states = nxt
+    total = r * len(inst.scopes)
+    coeff, value = {}, Fraction(0)
+    for state, cnt in sorted(states.items()):
+        mvec = state + (total - sum(state),)
+        coeff[mvec] = cnt
+        value += cnt * monomial_value(fs, mvec)
+    return coeff, value
+
+
+def _random_instance(rng, n, r, m_max=6):
+    """A CSP (repeated variables, isolated vertices) or a hypergraph on n vertices."""
+    if rng.random() < 0.6 or n < r:
+        scopes = tuple(tuple(rng.randrange(n) for _ in range(r)) for _ in range(rng.randint(0, m_max)))
+        return CspInstance(n, scopes, ())
+    edges = {tuple(sorted(rng.sample(range(n), r))) for _ in range(rng.randint(0, m_max))}
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+def _random_weights(rng, q, r):
+    """A random table, sometimes with all-zero rows (elements in no key)."""
+    dead = {z for z in range(q) if rng.random() < 0.25}
+    weights = {
+        key: Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        for key in combinations_with_replacement(range(q), r)
+        if not dead.intersection(key) and rng.random() < 0.7
+    }
+    return SymFunc.from_weights(q, r, weights)
+
+
+def test_bruteforce_matches_reference_dfs():
+    rng = random.Random(1101)
+    shapes = set()
+    for _ in range(400):
+        r, q = rng.randint(3, 5), rng.randint(1, 4)
+        n_max = 12
+        while q > 1 and q**n_max > 2000:
+            n_max -= 1
+        n = 1 if rng.random() < 0.1 else rng.randint(1, n_max)
+        g, inst = _random_weights(rng, q, r), _random_instance(rng, n, r)
+        assert eval_bruteforce(g, inst) == _reference_bruteforce(g, inst), (g.weights, inst)
+        shapes.add((r, q == 1, n == 1, isinstance(inst, CspInstance)))
+    assert len(shapes) == 18  # every arity with q=1 or not, n=1 and both instance kinds
+
+
+def _random_factor(rng, s, r):
+    mu = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(s))
+    group = AbelianGroup.cyclic(rng.randint(1, 2))
+    g = fx.structured_family([(group, s, mu, 0, Fraction(rng.randint(1, 7), rng.randint(1, 4)))], r=r)
+    return classify(g).components[0].factor
+
+
+def test_monomial_dp_matches_reference_tuple_states():
+    rng = random.Random(1102)
+    for _ in range(120):
+        s, r = rng.randint(1, 5), rng.randint(3, 5)
+        fs = _random_factor(rng, s, r)
+        inst = _random_instance(rng, rng.randint(1, 6), r, m_max=4)
+        if not inst.scopes:
+            continue
+        tally, value = lambda_monomial_dp(fs, inst)
+        coeff, want = _reference_monomial_dp(fs, inst)
+        assert list(tally.coeff.items()) == list(coeff.items())
+        assert value == want
+        assert value == sum(cnt * monomial_value(fs, mvec) for mvec, cnt in tally.coeff.items())
+        assert value == lambda_factor_direct(fs, degrees(inst), len(inst.scopes))
+
+
+# --- eval-side properties, through every evaluation method
+
+METHODS = ("brute", "structured", "structured-dp")
+
+
+def _z_all(g, inst):
+    values = {method: evaluate(g, inst, method=method)[0].value for method in METHODS}
+    assert len(set(values.values())) == 1, values
+    return values["brute"]
+
+
+def test_scaling_g_scales_z_by_c_to_the_m():
+    rng = random.Random(1103)
+    for _ in range(30):
+        g = fx.random_tractable(rng, rng.randint(2, 4))
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = SymFunc.from_weights(g.q, g.r, {k: c * w for k, w in g.weights.items()})
+        inst = _random_instance(rng, rng.randint(1, 5), 3)
+        assert _z_all(scaled, inst) == c ** len(inst.scopes) * _z_all(g, inst)
+
+
+def test_relabelling_vertices_keeps_z():
+    rng = random.Random(1104)
+    for _ in range(30):
+        g = fx.random_tractable(rng, rng.randint(2, 4))
+        inst = _random_instance(rng, rng.randint(1, 5), 3)
+        perm = list(range(inst.n))
+        rng.shuffle(perm)
+        moved = [tuple(perm[v] for v in scope) for scope in inst.scopes]
+        if isinstance(inst, Hypergraph):
+            relabelled = Hypergraph(inst.n, tuple(sorted(tuple(sorted(e)) for e in moved)))
+        else:
+            relabelled = CspInstance(inst.n, tuple(moved), ())
+        assert _z_all(g, relabelled) == _z_all(g, inst)
+
+
+def test_disjoint_union_multiplies_z():
+    rng = random.Random(1105)
+    for _ in range(30):
+        g = fx.random_tractable(rng, rng.randint(2, 4))
+        left = _random_instance(rng, rng.randint(1, 3), 3)
+        right = _random_instance(rng, rng.randint(1, 3), 3)
+        shifted = tuple(tuple(v + left.n for v in scope) for scope in right.scopes)
+        union = CspInstance(left.n + right.n, left.scopes + shifted, ())
+        assert _z_all(g, union) == _z_all(g, left) * _z_all(g, right)
