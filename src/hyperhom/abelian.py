@@ -6,14 +6,17 @@ size of a weight function, so everything is table-driven. Every group law
 is still proved on the table, but with checks that need only a generating
 set: associativity by Light's test (O(m^2 log m) lookups for a group of
 order m), the coordinate map of a decomposition on its basis (O(m * t)).
-The counting side has to scale to instances with thousands of scopes, so
-count_solutions_mod counts by elimination per prime power of the modulus
-(a bitset path for mod 2), one route for every system size.
+The counting side has to scale to instances with 10^5 scopes, so
+count_homs and count_solutions_mod share one sparse routine: per prime
+power of the modulus it tracks the solution set (a particular solution and
+kernel generators) row by row, in O(nonzeros x fill), and builds no dense
+matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -275,30 +278,40 @@ def _verify_decomposition(
 # ---------------------------------------------------------------------------
 # linear systems over Z_d
 
-# Nothing in src/ reads this, since every system is counted per prime
-# power; perfbench/test_perfbench.py still imports it.
+# Nothing in src/ reads this or occurrence_matrix, since counting went
+# sparse; perfbench/ and the tests still import them.
 _SNF_CELL_LIMIT = 20_000
 
 
-def count_solutions_mod(m: IntMatrix, c: Sequence[int], d: int) -> int:
-    """Number of x in (Z_d)^n with M x = c over Z_d.
+def occurrence_matrix(inst: Instance) -> IntMatrix:
+    """Scopes-by-vertices matrix of occurrence counts."""
+    rows = []
+    for scope in inst.scopes:
+        row = [0] * inst.n
+        for v in scope:
+            row[v] += 1
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=inst.n)
 
-    The count is taken per prime power p^e of d and the parts are
-    multiplied (Chinese remainder theorem): a GF(2) bitset echelon for
-    p^e = 2, minimum-valuation elimination over Z_{p^e} otherwise.
-    """
+
+def count_solutions_mod(m: IntMatrix, c: Sequence[int], d: int) -> int:
+    """Number of x in (Z_d)^n with M x = c over Z_d, counted on M's
+    nonzero entries by _count_mod."""
     if d < 1:
         raise ValueError(f"modulus must be positive, got {d}")
     if len(c) != m.rows:
         raise ValueError(f"right-hand side has {len(c)} entries for {m.rows} rows")
-    if d == 1:
-        return 1
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+    return _count_mod(rows, c, m.cols, d)
+
+
+def _count_mod(rows: Sequence[dict[int, int]], c: Sequence[int], ncols: int, d: int) -> int:
+    """Solution count over Z_d of the sparse rows {column: coefficient}:
+    the product of the counts over Z_{p^e} for the prime powers p^e of d
+    (Chinese remainder theorem), 1 when d = 1."""
     total = 1
     for p, e in _factorize(d):
-        if p == 2 and e == 1:
-            part = _count_gf2(m.entries, c, m.cols)
-        else:
-            part = _count_prime_power(m.entries, c, m.cols, p, e)
+        part = _count_prime_power(rows, c, ncols, p, e)
         if part == 0:
             return 0
         total *= part
@@ -321,111 +334,85 @@ def _factorize(d: int) -> list[tuple[int, int]]:
     return out
 
 
-def _count_gf2(rows: Sequence[Sequence[int]], c: Sequence[int], ncols: int) -> int:
-    """Solution count of M x = c over GF(2) via bitset row echelon."""
-    aug_bit = 1 << ncols
-    pivots: dict[int, int] = {}
-    for row, ci in zip(rows, c):
-        bits = 0
-        for j, v in enumerate(row):
-            if v & 1:
-                bits |= 1 << j
-        if ci & 1:
-            bits |= aug_bit
-        while bits:
-            low = bits & -bits
-            if low == aug_bit:
-                return 0
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = bits
-                break
-            bits ^= piv
-    return 1 << (ncols - len(pivots))
-
-
 def _count_prime_power(
-    rows: Sequence[Sequence[int]], c: Sequence[int], ncols: int, p: int, e: int
+    rows: Sequence[dict[int, int]], c: Sequence[int], ncols: int, p: int, e: int
 ) -> int:
-    """Diagonalize over Z_{p^e} by minimum-valuation pivoting and count."""
-    d = p**e
-    a = [[v % d for v in row] for row in rows]
-    aug = [ci % d for ci in c]
-    nrows = len(a)
-    row_active = list(range(nrows))
-    col_active = list(range(ncols))
-    pivot_vals: list[int] = []
-    while True:
-        best = None  # (valuation, row position, col position)
-        for ri, i in enumerate(row_active):
-            ai = a[i]
-            for cj, j in enumerate(col_active):
-                v = ai[j]
-                if v == 0:
-                    continue
-                val = 0
-                while v % p == 0:
-                    v //= p
-                    val += 1
-                if best is None or val < best[0]:
-                    best = (val, ri, cj)
-                if best[0] == 0:
-                    break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        val, ri, cj = best
-        i = row_active.pop(ri)
-        j = col_active.pop(cj)
-        pv = p**val
-        unit = a[i][j] // pv
-        inv = pow(unit, -1, d)
-        ai = a[i]
-        for jj in range(ncols):
-            ai[jj] = (ai[jj] * inv) % d
-        aug[i] = (aug[i] * inv) % d
-        for k in row_active:
-            ak = a[k]
-            t = ak[j] // pv
-            if t:
-                for jj in col_active:
-                    ak[jj] = (ak[jj] - t * ai[jj]) % d
-                aug[k] = (aug[k] - t * aug[i]) % d
-                ak[j] = 0
-        pivot_vals.append(pv)
-        if aug[i] % pv != 0:
-            return 0
-    for k in row_active:
-        if aug[k] % d != 0:
-            return 0
-    count = math.prod(pivot_vals)
-    return count * d ** len(col_active)
+    """Number of x in (Z_{p^e})^ncols with row . x = c_i for every sparse
+    row, by tracking the solution set x0 + K instead of the row space
+    (structured Gaussian elimination, LaMacchia & Odlyzko 1990).
 
-
-def occurrence_matrix(inst: Instance) -> IntMatrix:
-    """Scopes-by-vertices matrix of occurrence counts."""
-    rows = []
-    for scope in inst.scopes:
-        row = [0] * inst.n
-        for v in scope:
-            row[v] += 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=inst.n)
+    K starts as the whole space, spanned by the unit vectors, and is kept
+    as generators gens[k] = {v: coefficient}, indexed both ways (at[v] =
+    {k: coefficient}). A row maps K onto p^v* Z_{p^e}, where p^v* is the
+    gcd of q = p^e and the products s_k = row . g_k. So the row is
+    solvable iff p^v* divides the residual c_i - row . x0, and then |K|
+    shrinks by p^(e - v*); v* = e when every s_k is 0 (the row is
+    implied). The pivot k has valuation v* and the fewest nonzeros: x0
+    moves by a multiple of g_k, every other g_j loses (s_j / s_k) g_k, and
+    g_k becomes p^(e - v*) g_k, which drops out once it is 0. These span
+    the new K: an x = sum l_j g_j in K with row . x = 0 equals
+    sum_{j != k} l_j (g_j - (s_j / s_k) g_k) + u g_k with u s_k = 0, so u
+    is a multiple of p^(e - v*). A row costs O(its nonzeros x fill).
+    """
+    q = p**e
+    valuation = {p**i: i for i in range(e + 1)}
+    gens = [{v: 1} for v in range(ncols)]
+    at = [{v: 1} for v in range(ncols)]
+    x0 = [0] * ncols
+    exponent = e * ncols
+    for row, ci in zip(rows, c):
+        residual = ci
+        s: dict[int, int] = {}
+        for v, a in row.items():
+            residual -= a * x0[v]
+            for k, g in at[v].items():
+                s[k] = s.get(k, 0) + a * g
+        s = {k: sk % q for k, sk in s.items() if sk % q}
+        pv = math.gcd(q, *s.values())
+        if residual % pv:
+            return 0
+        if not s:
+            continue
+        k = min((j for j, sj in s.items() if math.gcd(sj, q) == pv), key=lambda j: len(gens[j]))
+        inv = pow(s.pop(k) // pv, -1, q)
+        gk = gens[k]
+        lam = residual // pv * inv % q
+        if lam:
+            for v, g in gk.items():
+                x0[v] = (x0[v] + lam * g) % q
+        for j, sj in s.items():
+            t = sj // pv * inv
+            gj = gens[j]
+            for v, g in gk.items():
+                new = (gj.get(v, 0) - t * g) % q
+                if new:
+                    gj[v] = at[v][j] = new
+                elif v in gj:
+                    del gj[v], at[v][j]
+        scale = q // pv
+        for v, g in list(gk.items()):
+            new = g * scale % q
+            if new:
+                gk[v] = at[v][k] = new
+            else:
+                del gk[v], at[v][k]
+        exponent -= e - valuation[pv]
+    return p**exponent
 
 
 def count_homs(dec: CyclicDecomposition, a: int, inst: Instance) -> int:
     """Number of vertex maps into the group with every scope summing to a.
 
     Splitting along the cyclic decomposition turns the condition into one
-    linear system per invariant factor, with the constant right-hand side
-    given by the coordinates of a.
+    linear system per invariant factor d_i: one sparse row per scope,
+    {vertex: multiplicity}, with the i-th coordinate of a on the right.
+    _count_mod counts each in O(nonzeros x fill) per prime power of d_i;
+    no scopes-by-vertices matrix is built.
     """
-    occ = occurrence_matrix(inst)
-    target = dec.iso[a]
+    rows = [Counter(scope) for scope in inst.scopes]
     total = 1
-    for di, ci in zip(dec.factors, target):
-        part = count_solutions_mod(occ, [ci] * occ.rows, di)
+    for di, ci in zip(dec.factors, dec.iso[a]):
+        part = _count_mod(rows, [ci] * len(rows), inst.n, di)
         if part == 0:
             return 0
         total *= part

@@ -93,8 +93,7 @@ def _emit(command: str, status: str, payload: Any, started: float) -> None:
         "payload": _jsonify(payload),
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _classification_payload(cls: Classification) -> dict[str, Any]:

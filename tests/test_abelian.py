@@ -9,6 +9,8 @@ import pytest
 from hyperhom import fixtures as fx
 from hyperhom.abelian import (
     AbelianGroup,
+    _count_prime_power,
+    _factorize,
     count_homs,
     count_solutions_mod,
     decompose,
@@ -180,6 +182,162 @@ def test_count_solutions_elimination_route():
             counts.append(want)
     # both answers occur: unsolvable targets and solution sets of size > 1
     assert 0 in counts and max(counts) > 1
+
+
+# --- differential references: the dense eliminations that counted every
+# system before the sparse solution-set tracking replaced them
+
+
+def dense_count_gf2(rows, c, ncols: int) -> int:
+    """Solution count of M x = c over GF(2) via bitset row echelon."""
+    aug_bit = 1 << ncols
+    pivots: dict[int, int] = {}
+    for row, ci in zip(rows, c):
+        bits = 0
+        for j, v in enumerate(row):
+            if v & 1:
+                bits |= 1 << j
+        if ci & 1:
+            bits |= aug_bit
+        while bits:
+            low = bits & -bits
+            if low == aug_bit:
+                return 0
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = bits
+                break
+            bits ^= piv
+    return 1 << (ncols - len(pivots))
+
+
+def dense_count_prime_power(rows, c, ncols: int, p: int, e: int) -> int:
+    """Diagonalize over Z_{p^e} by minimum-valuation pivoting and count."""
+    d = p**e
+    a = [[v % d for v in row] for row in rows]
+    aug = [ci % d for ci in c]
+    nrows = len(a)
+    row_active = list(range(nrows))
+    col_active = list(range(ncols))
+    pivot_vals: list[int] = []
+    while True:
+        best = None  # (valuation, row position, col position)
+        for ri, i in enumerate(row_active):
+            ai = a[i]
+            for cj, j in enumerate(col_active):
+                v = ai[j]
+                if v == 0:
+                    continue
+                val = 0
+                while v % p == 0:
+                    v //= p
+                    val += 1
+                if best is None or val < best[0]:
+                    best = (val, ri, cj)
+                if best[0] == 0:
+                    break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        val, ri, cj = best
+        i = row_active.pop(ri)
+        j = col_active.pop(cj)
+        pv = p**val
+        unit = a[i][j] // pv
+        inv = pow(unit, -1, d)
+        ai = a[i]
+        for jj in range(ncols):
+            ai[jj] = (ai[jj] * inv) % d
+        aug[i] = (aug[i] * inv) % d
+        for k in row_active:
+            ak = a[k]
+            t = ak[j] // pv
+            if t:
+                for jj in col_active:
+                    ak[jj] = (ak[jj] - t * ai[jj]) % d
+                aug[k] = (aug[k] - t * aug[i]) % d
+                ak[j] = 0
+        pivot_vals.append(pv)
+        if aug[i] % pv != 0:
+            return 0
+    for k in row_active:
+        if aug[k] % d != 0:
+            return 0
+    count = math.prod(pivot_vals)
+    return count * d ** len(col_active)
+
+
+def dense_count_mod(rows, c, ncols: int, d: int) -> int:
+    """The dense route per prime power of d: bitsets at 2, elimination else."""
+    total = 1
+    for p, e in _factorize(d):
+        if (p, e) == (2, 1):
+            total *= dense_count_gf2(rows, c, ncols)
+        else:
+            total *= dense_count_prime_power(rows, c, ncols, p, e)
+    return total
+
+
+def _seeded_system(rng, q: int):
+    """Dense rows and a right-hand side over Z_q: random entries (negative
+    ones included), zero rows, CSP occurrence rows whose multiplicities
+    reach q and beyond, and empty systems; c random or constant."""
+    nrows, ncols = rng.randint(0, 8), rng.randint(0, 7)
+    if rng.random() < 0.5 or ncols == 0:
+        rows = [
+            [rng.choice((0, 0, rng.randint(-2 * q, 2 * q))) for _ in range(ncols)] for _ in range(nrows)
+        ]
+    else:
+        rows = []
+        for _ in range(nrows):
+            row = [0] * ncols
+            for _ in range(rng.randint(0, 2 * q + 2)):
+                row[rng.randrange(min(ncols, 3))] += 1
+            rows.append(row)
+    if rows and rng.random() < 0.2:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.5:
+        c = [rng.randint(-q, 2 * q)] * nrows
+    else:
+        c = [rng.randint(-q, 2 * q) for _ in range(nrows)]
+    return rows, c, ncols
+
+
+def test_sparse_counting_matches_dense_references():
+    rng = random.Random(1990)
+    counts = set()
+    for _ in range(1500):
+        p, e = rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        rows, c, ncols = _seeded_system(rng, p**e)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        want = dense_count_prime_power(rows, c, ncols, p, e)
+        if (p, e) == (2, 1):
+            assert dense_count_gf2(rows, c, ncols) == want
+        assert _count_prime_power(sparse, c, ncols, p, e) == want, (rows, c, p, e)
+        counts.add(min(want, 2))
+    assert counts == {0, 1, 2}
+    for _ in range(500):
+        d = rng.choice((1, 2, 4, 6, 8, 12, 16, 18, 30, 36, 49, 81))
+        rows, c, ncols = _seeded_system(rng, d)
+        want = dense_count_mod(rows, c, ncols, d)
+        assert count_solutions_mod(IntMatrix.from_rows(rows, cols=ncols), c, d) == want, (rows, c, d)
+    assert count_solutions_mod(IntMatrix.from_rows([], cols=3), [], 5) == 125
+    assert count_solutions_mod(IntMatrix.from_rows([[0, 0]]), [7], 1) == 1
+
+
+def test_count_homs_crt_and_direct_sum_at_scale():
+    # a 30000 x 3000 system, beyond what dense matrices could count here
+    inst = fx.random_connected_hypergraph(random.Random(3000), 3000, 30000, 3)
+    z2, z3, z6, z2z2 = (decompose(fx.group_from_factors(*f)) for f in ((2,), (3,), (6,), (2, 2)))
+    c2 = [count_homs(z2, a, inst) for a in range(2)]
+    c3 = [count_homs(z3, a, inst) for a in range(3)]
+    # constant maps: x = 1 solves 1+1+1 = 1 over Z2, and any constant 3x = 0 over Z3
+    assert min(c2) >= 1 and c3[0] >= 3
+    for a in range(6):
+        assert count_homs(z6, a, inst) == c2[a % 2] * c3[a % 3]
+    for a, b in product(range(2), repeat=2):
+        assert count_homs(z2z2, 2 * a + b, inst) == c2[a] * c2[b]
 
 
 def test_occurrence_matrix():

@@ -509,3 +509,55 @@ def test_disjoint_union_multiplies_z():
         shifted = tuple(tuple(v + left.n for v in scope) for scope in right.scopes)
         union = CspInstance(left.n + right.n, left.scopes + shifted, ())
         assert _z_all(g, union) == _z_all(g, left) * _z_all(g, right)
+
+
+# non-cyclic groups, several components and r = 5 reach the counting over
+# Z_{p^e} with e > 1 and over several invariant factors
+WIDE_BLOCKS = (
+    ((2, 4),), ((3, 3),), ((2, 2, 2),), ((2, 4), (3,)), ((2, 2, 2), (2,)), ((3, 3), (2, 2)),
+)
+
+
+def _wide_family(rng, block_factors, r):
+    """One product-form block per group; a lone block of order 8 gets s = 2
+    half the time."""
+    blocks = []
+    for factors in block_factors:
+        group = fx.group_from_factors(*factors)
+        mu = (Fraction(1),)
+        if len(block_factors) == 1 and group.order == 8 and rng.random() < 0.5:
+            mu = tuple(sorted(mu + (Fraction(rng.choice((2, 3, 5)), rng.choice((1, 4))),)))
+        constant = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        blocks.append((group, len(mu), mu, rng.randrange(group.order), constant))
+    return fx.structured_family(blocks, r=r, junk=rng.randint(0, 1))
+
+
+def test_structured_matches_brute_on_noncyclic_groups_components_and_r5():
+    rng = random.Random(1106)
+    nonzero = 0
+    for block_factors in WIDE_BLOCKS:
+        for r in (3, 4, 5):
+            g = _wide_family(rng, block_factors, r)
+            cls = classify(g)
+            assert cls.tractable
+            # every block's factors are already an invariant chain
+            assert sorted(c.group.decomposition.factors for c in cls.components) == sorted(block_factors)
+            for _ in range(6):
+                inst = _random_instance(rng, rng.randint(1, 4), r, m_max=4)
+                nonzero += _z_all(g, inst) != 0 and len(inst.scopes) > 1
+    assert nonzero >= 30
+
+
+def test_relabelling_the_domain_keeps_z():
+    rng = random.Random(1107)
+    tables = [fx.random_tractable(rng, rng.randint(2, 5)) for _ in range(15)]
+    tables += [_wide_family(rng, f, 3) for f in WIDE_BLOCKS]
+    for g in tables:
+        perm = list(range(g.q))
+        rng.shuffle(perm)
+        moved = SymFunc.from_weights(
+            g.q, g.r, {tuple(sorted(perm[z] for z in key)): w for key, w in g.weights.items()}
+        )
+        for _ in range(3):
+            inst = _random_instance(rng, rng.randint(1, 3 if g.q > 8 else 4), 3)
+            assert _z_all(moved, inst) == _z_all(g, inst)
