@@ -202,7 +202,8 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
     quotient by the span built so far, shifts it inside its coset until
     its true order matches (a direct complement always exists), and
     extends the coordinate map. The result is verified on its basis by
-    _verify_decomposition.
+    _verify_decomposition, whose product and bijection checks also catch
+    a span extension that collided.
     """
     if group.order == 1:
         return CyclicDecomposition((), ((),))
@@ -231,8 +232,6 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
             for s, coords in spans.items():
                 new_spans[group.add(s, step)] = coords + (j,)
             step = group.add(step, rep)
-        if len(new_spans) != len(spans) * best_d:
-            raise AssertionError("span extension collided")
         spans = new_spans
         orders_desc.append(best_d)
     factors = tuple(reversed(orders_desc))

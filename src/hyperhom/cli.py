@@ -72,16 +72,11 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _jsonify(value: Any) -> Any:
+def _rational_text(value: Any) -> str:
+    """json.dumps hook: rationals as strings, nothing else unencodable."""
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, frozenset):
-        return [_jsonify(v) for v in sorted(value)]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(command: str, status: str, payload: Any, started: float) -> None:
@@ -90,10 +85,10 @@ def _emit(command: str, status: str, payload: Any, started: float) -> None:
         "version": __version__,
         "command": command,
         "status": status,
-        "payload": _jsonify(payload),
+        "payload": payload,
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_rational_text) + "\n")
 
 
 def _classification_payload(cls: Classification) -> dict[str, Any]:
@@ -144,15 +139,15 @@ def _instance_payload(inst: Hypergraph | CspInstance) -> dict[str, Any]:
     }
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
-    g = load_symfunc(_read(args.g))
-    cls = classify(g)
+def _cmd_classify(args: argparse.Namespace) -> tuple[str, dict[str, Any], str]:
+    cls = classify(load_symfunc(_read(args.g)))
     payload = _classification_payload(cls)
-    status = "tractable" if cls.tractable else "hard"
-    return status, payload, 0
+    if cls.tractable:
+        return "tractable", payload, f"{len(cls.components)} component(s)"
+    return "hard", payload, cls.witness.kind
 
 
-def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
+def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict[str, Any], str]:
     g = load_symfunc(_read(args.g))
     inst = load_instance(_read(args.i))
     method = _METHOD_MAP[args.method]
@@ -162,10 +157,10 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
     payload["instance"] = _instance_payload(inst)
     if cls is not None:
         payload["tractable"] = cls.tractable
-    return "value", payload, 0
+    return "value", payload, f"value {payload['value']} via {payload['method']}"
 
 
-def _cmd_gadget(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
+def _cmd_gadget(args: argparse.Namespace) -> tuple[str, dict[str, Any], str]:
     kind = args.kind
     if kind == "tilde":
         g = load_symfunc(_read(args.g))
@@ -174,7 +169,7 @@ def _cmd_gadget(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
             "k": args.k,
             "matrix": tilde_f(g, args.k),
         }
-        return "value", payload, 0
+        return "value", payload, kind
     inst = load_instance(_read(args.i))
     if kind in ("pad", "power", "separate") and not isinstance(inst, Hypergraph):
         raise _CliError(f"gadget {kind} needs a hypergraph instance")
@@ -190,17 +185,15 @@ def _cmd_gadget(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
         res = vertex_power(inst, args.j)
     elif kind == "separate":
         res = component_separator(inst, args.p)
-    elif kind == "eq-elim":
+    else:  # eq-elim: the parser admits no other kind
         res = equality_eliminator(inst, args.p)
-    else:
-        raise _CliError(f"unknown gadget {kind!r}")
     payload = {
         "gadget": kind,
         "params": res.params,
         "instance": _instance_payload(res.instance),
         "maps": res.maps,
     }
-    return "value", payload, 0
+    return "value", payload, kind
 
 
 def _expect(name: str, got: Any, want: Any) -> str:
@@ -209,7 +202,7 @@ def _expect(name: str, got: Any, want: Any) -> str:
     return name
 
 
-def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
+def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], str]:
     checks: list[str] = []
     edge = Hypergraph(3, ((0, 1, 2),))
 
@@ -253,7 +246,7 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], int]:
         )
     )
 
-    return "value", {"checks": len(checks), "names": checks}, 0
+    return "value", {"checks": len(checks), "names": checks}, f"{len(checks)} self-checks passed"
 
 
 @functools.cache
@@ -317,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     command = " ".join(argv) if argv else "(none)"
     try:
         args = _build_parser().parse_args(argv)
-        status, payload, code = args.handler(args)
+        status, payload, summary = args.handler(args)
     except (_CliError, FormatError, OSError, CapExceeded, ValueError) as exc:
         _emit(command, "error", {"message": str(exc)}, started)
         print(f"error: {exc}", file=sys.stderr)
@@ -331,20 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
     _emit(command, status, payload, started)
-    print(f"{status}: {_summary_line(status, payload)}", file=sys.stderr)
-    return code
-
-
-def _summary_line(status: str, payload: dict[str, Any]) -> str:
-    if status == "tractable":
-        return f"{len(payload.get('components', []))} component(s)"
-    if status == "hard":
-        return payload["witness"]["kind"]
-    if "value" in payload:
-        return f"value {payload['value']} via {payload.get('method', '?')}"
-    if "checks" in payload:
-        return f"{payload['checks']} self-checks passed"
-    return payload.get("gadget", "done")
+    print(f"{status}: {summary}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

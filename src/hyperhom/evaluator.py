@@ -21,8 +21,8 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .abelian import count_homs
-from .dichotomy import Classification, FactorStructure
-from .exactcore import format_rational, lcm_all
+from .dichotomy import Classification, FactorStructure, classify
+from .exactcore import format_rational
 from .model import CspInstance, Instance, degrees, instance_components
 
 __all__ = [
@@ -142,7 +142,7 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
         raise CapExceeded(f"{q}^{n} assignments exceed the configured cap {cap}")
     if not inst.scopes:
         return Fraction(q) ** n
-    scale = lcm_all(w.denominator for w in g.weights.values())
+    scale = math.lcm(*(w.denominator for w in g.weights.values()))
     # prod(base + z) over a key's values z has the elementary symmetric
     # sums of the z as its digits in base (2q)^r, each below the base, so
     # it tells multisets apart
@@ -418,8 +418,6 @@ def evaluate(
     back to guarded brute force; structured/structured-dp require a
     Tractable function; brute never classifies.
     """
-    from .dichotomy import classify
-
     if method == "brute":
         return EvalReport(eval_bruteforce(g, inst, cap), "brute"), cls
     if cls is None:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "parse_rational",
@@ -226,13 +226,3 @@ def snf(m: IntMatrix) -> SnfResult:
         V=IntMatrix.from_rows(v, cols=cols),
         rank=rank,
     )
-
-
-def lcm_all(values: Iterable[int]) -> int:
-    """lcm of an iterable of positive integers (1 for an empty iterable)."""
-    import math
-
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out

@@ -540,7 +540,10 @@ class PruneResult:
 
 
 def prune_domain(g: SymFunc) -> PruneResult:
-    """Drop the elements no nonzero key holds, read off g.support_index."""
+    """Drop the elements no nonzero key holds, read off g.support_index.
+
+    The renumbered copy holds the same keys, so every one of its elements
+    is held by one and none is left to prune."""
     idx = g.support_index
     kept, removed = idx.kept, idx.removed
     if not removed:
@@ -552,8 +555,6 @@ def prune_domain(g: SymFunc) -> PruneResult:
     out = SymFunc(
         len(kept), g.r, {tuple(renum[z] for z in key): w for key, w in g.weights.items()}
     )
-    if len(out.support_index.kept) != out.q:
-        raise AssertionError("pruning left an element with zero unary marginal")
     return PruneResult(out, kept, removed)
 
 

@@ -1,7 +1,9 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -291,3 +293,59 @@ def test_parser_reuse_matches_fresh_interpreters(files, capsys):
         mine, theirs = json.loads(out), json.loads(fresh.stdout)
         mine.pop("timing_ms"), theirs.pop("timing_ms")
         assert json.dumps(mine) == json.dumps(theirs), argv
+
+
+def _golden_commands(files, tmp_path):
+    big = tmp_path / "big.hg"
+    big.write_text(dump_hypergraph(Hypergraph(64, ((0, 1, 2),))))
+    return {
+        "selftest": ["selftest"],
+        **{f"classify-{name}": ["classify", "-g", files[name]] for name in ("parity", "geometric", "notallzero")},
+        **{
+            f"eval-{method}": ["eval", "-g", files["geometric"], "-i", files["edge3"], "--method", method]
+            for method in ("auto", "structured", "dp-lambda", "brute")
+        },
+        "gadget-pad": ["gadget", "pad", "-i", files["tri"], "-r", "3"],
+        "gadget-stretch": ["gadget", "stretch", "-i", files["tri"]],
+        "gadget-tilde": ["gadget", "tilde", "-g", files["geometric"], "-k", "2"],
+        "gadget-power": ["gadget", "power", "-i", files["edge3"], "-j", "2"],
+        "gadget-separate": ["gadget", "separate", "-i", files["edge3"], "-p", "2"],
+        "gadget-eq-elim": ["gadget", "eq-elim", "-i", files["eq"], "-p", "1"],
+        "missing-file": ["classify", "-g", "/nonexistent/x.sf"],
+        "bad-flag": ["eval", "--nope"],
+        "cap-exceeded": ["eval", "-g", files["parity"], "-i", str(big), "--method", "brute", "--brute-cap", "1000"],
+    }
+
+
+# sha256 of each command's stdout + NUL + stderr, with the tmp directory and
+# timing_ms normalized: the default output is byte-stable, so a new digest is
+# a change of the output format
+_GOLDEN = {
+    "selftest": "d59076d021da314e3ba3d8630e235403602e5d2de8b8c4dd90deac83b88296de",
+    "classify-parity": "efa8fd715259ce912218226fbc76d5ca3d87c8c12c35cc89be6afce869371d55",
+    "classify-geometric": "4635fd65120cdc281e2e2cb84ebd84f953aef09ab2a2d9f30b0d1f5fa66957d1",
+    "classify-notallzero": "f50a199bfcfabe4f033ce218466675690c6a265b8c30a4e6e8f824a2dd92f8ad",
+    "eval-auto": "8fbe34ae52453ff9b9ffda65169caafe43b15d32f994fc825dc409528182ea80",
+    "eval-structured": "71ffddecffcedf48d75099bd514ae8afb431dafe7e7c163980262af05c45a2ab",
+    "eval-dp-lambda": "80996df782576cec06d7c78738b00132ad78a96a8db51a3cacf2a10343b2e5a0",
+    "eval-brute": "12348236f565ee84a802482ccba6e9467fb3a09b644dad47ffba5363323fbba9",
+    "gadget-pad": "05468f2573ea3e01e9f3f70e591606875945fa0b39e925fef06d34481a599b47",
+    "gadget-stretch": "4da175d8976a0f4ab12658fd86ea371c2164c520d7243ea45836586bc7cee29c",
+    "gadget-tilde": "7dbf15940a5762f1788b32ad40f13bd74721dc4f3abdd35efece0601edb793a2",
+    "gadget-power": "27810c88a48402e7fbff76a821b775d30daa31e723c22a1d1d613caafce1f595",
+    "gadget-separate": "44e06b07b10643c1a683dc8b88193fe04c59fe06edf4f6ca18eb1471528cc903",
+    "gadget-eq-elim": "b693a87fd9af8b7d02a1aef30869d8fbf82ab70e805cfa2941881ae76d91f1d2",
+    "missing-file": "5b50a857dc41beadb3fe473381606e2f234775e3f7a32c8d02e03ce2057c9a82",
+    "bad-flag": "fc7ab1f52cd6bd5a2d4ff3b4c86b3013a1fba1ee655f78348837d6d9fcc2b91f",
+    "cap-exceeded": "fe2bc50c3d215dfc4e788f779f29edb0939140d0e4bcaf413f2998a8a2c5934c",
+}
+
+
+def test_cli_output_golden(files, tmp_path, capsys):
+    digests = {}
+    for name, argv in _golden_commands(files, tmp_path).items():
+        main(argv)
+        out, err = capsys.readouterr()
+        text = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out + "\0" + err)
+        digests[name] = hashlib.sha256(text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+    assert digests == _GOLDEN

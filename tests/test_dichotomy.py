@@ -25,7 +25,7 @@ from hyperhom.dichotomy import (
     sim_classes,
     verify_factoring_identity,
 )
-from hyperhom.gadgets import relation_to_symfunc
+from hyperhom.gadgets import relation_to_symfunc, tilde_f
 from hyperhom.model import SymFunc
 
 
@@ -39,6 +39,52 @@ def test_sim_classes_rejects_zero_slice():
     g = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1)})
     with pytest.raises(ValueError):
         sim_classes(g, (0, 1))
+
+
+def _gram_classes(gram, comp):
+    # first fit under the equality case of Cauchy-Schwarz on the slices
+    classes = []
+    for z in comp:
+        for cls in classes:
+            y = cls[0]
+            if gram[z][y] ** 2 == gram[z][z] * gram[y][y]:
+                cls.append(z)
+                break
+        else:
+            classes.append([z])
+    return tuple(map(tuple, classes))
+
+
+def test_sim_classes_match_the_gram_oracle():
+    # tilde_f(g, r) is the Gram matrix of the slices, so two elements share
+    # a class exactly when their entry meets Cauchy-Schwarz with equality
+    rng = random.Random(4231)
+    tables = []
+    for i in range(40):
+        blocks = []
+        for _ in range(rng.randint(1, 2)):
+            group = fx.group_from_factors(*rng.choice([(), (2,), (3,), (2, 2), (4,)]))
+            s = rng.choice((2, 3))
+            mu = sorted([Fraction(1)] + [Fraction(rng.randint(2, 7), rng.randint(1, 3)) for _ in range(s - 1)])
+            blocks.append((group, s, mu, rng.randrange(group.order), Fraction(rng.randint(1, 5), 2)))
+        g = fx.structured_family(blocks, r=rng.choice((3, 4)), junk=rng.randint(0, 1))
+        if i % 2:
+            weights = dict(g.weights)
+            key = rng.choice(sorted(weights))
+            weights[key] *= 2
+            g = SymFunc.from_weights(g.q, g.r, weights)
+        tables.append(g)
+    tables += [fx.random_tractable(rng, rng.randint(2, 8)) for _ in range(10)]
+    tables += [fx.random_table(rng, rng.randint(2, 6), zero_frac=0.6) for _ in range(10)]
+    components = nontrivial = 0
+    for g in tables:
+        gram = tilde_f(g, g.r)
+        for comp in g.support_index.components:
+            classes = sim_classes(g, comp).classes
+            assert classes == _gram_classes(gram, comp), (g, comp)
+            components += 1
+            nontrivial += any(len(c) > 1 for c in classes)
+    assert components >= 80 and nontrivial >= 60, (components, nontrivial)
 
 
 def test_product_structure_mixed():
@@ -87,7 +133,8 @@ def test_factoring_identity_direct_violation():
     assert w.evidence["lhs"] == "125"
     assert w.evidence["rhs"] == "27"
     assert verify_factoring_identity(fx.mixed(), fs) is None
-    assert replay_witness(doctored, w)
+    # classify never emits this kind, so the rerun cannot confirm it
+    assert not replay_witness(doctored, w)
 
 
 def test_latin_check():
@@ -308,6 +355,9 @@ def test_replay_rejects_forged_witnesses_on_tractable_tables():
             {"tuple_a": [0, 0, 0], "value_a": "1", "tuple_b": [0, 0, 1], "value_b": "2"})),
         (two_parity, HardnessWitness(
             "NotLatin", (0, 1, 2, 3), {"prefix": [0, 2], "completions": []})),
+        (fx.geometric(), HardnessWitness(
+            "FactoringIdentityViolation", (0, 1),
+            {"elements": [0, 0, 1], "uniform": [[0, 0, 0]] * 3, "lhs": "8", "rhs": "1"})),
     ]
     for g, w in forged:
         assert classify(g).tractable

@@ -1,6 +1,7 @@
 """Evaluation paths: brute force, closed form, DP, monomial machinery."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,6 @@ import pytest
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup
 from hyperhom.dichotomy import classify
-from hyperhom.exactcore import lcm_all
 from hyperhom.evaluator import (
     DEFAULT_BRUTE_CAP,
     CapExceeded,
@@ -355,7 +355,7 @@ def _reference_bruteforce(g, inst):
     n, q = inst.n, g.q
     if not inst.scopes:
         return Fraction(q) ** n
-    scale = lcm_all(w.denominator for w in g.weights.values())
+    scale = math.lcm(*(w.denominator for w in g.weights.values()))
     table = {key: int(w * scale) for key, w in g.weights.items()}
     _, completing = _dfs_plan(inst)
     sigma, weights = [-1] * n, [1] * n

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from hyperhom.exactcore import (
     IntMatrix,
     format_rational,
-    lcm_all,
     parse_rational,
     snf,
 )
@@ -60,12 +59,6 @@ def test_parse_rational_past_the_digit_limit():
 def test_format_parse_property(num, den):
     f = Fraction(num, den)
     assert parse_rational(format_rational(f)) == f
-
-
-def test_lcm_all():
-    assert lcm_all([2, 3, 4]) == 12
-    assert lcm_all([7]) == 7
-    assert lcm_all([]) == 1
 
 
 def det_int(m: IntMatrix) -> int:

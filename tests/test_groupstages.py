@@ -284,7 +284,7 @@ def test_factoring_identity_matches_full_scan_on_doctored_tables():
             continue
         found += 1
         assert w.kind == KIND_FACTORING_IDENTITY_VIOLATION and w.evidence == ev
-        assert replay_witness(doctored, w)
+        assert not replay_witness(doctored, w)
     assert found >= 60
 
 
@@ -363,6 +363,24 @@ def test_equation_check_matches_prefix_scan():
                             mismatches += 1
                             assert w.component == (7,) and w.evidence == ev
     assert mismatches > 400
+
+
+def test_reconstructed_groups_pass_the_full_group_laws():
+    # reconstruct_group proves identity, inverses and commutativity in its
+    # docstring instead of asserting them; from_add_table checks them all
+    built = 0
+    for factors in [(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3)]:
+        group = fx.group_from_factors(*factors)
+        m = group.order
+        for r in (3, 4, 5):
+            for a in range(m):
+                completion = latin_check(_sum_relation(group, r, a), r, m)
+                for zero in range(m):
+                    gs = reconstruct_group(completion, r, m, zero)
+                    full = AbelianGroup.from_add_table(gs.group.add_table)
+                    assert (full.zero, full.neg_table) == (zero, gs.group.neg_table)
+                    built += 1
+    assert built == 3 * sum(m * m for m in (2, 3, 4, 4, 5, 6, 8, 9))
 
 
 # ---------------------------------------------------------------------------
