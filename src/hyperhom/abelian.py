@@ -202,8 +202,10 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
     quotient by the span built so far, shifts it inside its coset until
     its true order matches (a direct complement always exists), and
     extends the coordinate map. The result is verified on its basis by
-    _verify_decomposition, whose product and bijection checks also catch
-    a span extension that collided.
+    _verify_decomposition. A table that is no group raises ValueError when
+    a multiple of x misses the span for group.order steps or the shifted
+    spans collide (the cosets of a group are disjoint); so every round
+    multiplies the span by at least 2, and the search ends.
     """
     if group.order == 1:
         return CyclicDecomposition((), ((),))
@@ -216,6 +218,8 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
                 continue
             acc, k = x, 1
             while acc not in spans:
+                if k == group.order:  # in a group, order * x = zero
+                    raise ValueError(f"not a group: the multiples of {x} miss the span")
                 acc = group.add(acc, x)
                 k += 1
             if k > best_d:
@@ -232,6 +236,8 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
             for s, coords in spans.items():
                 new_spans[group.add(s, step)] = coords + (j,)
             step = group.add(step, rep)
+        if len(new_spans) < best_d * len(spans):
+            raise ValueError(f"not a group: the multiples of {rep} shift the span onto itself")
         spans = new_spans
         orders_desc.append(best_d)
     factors = tuple(reversed(orders_desc))

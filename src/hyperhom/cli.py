@@ -18,7 +18,7 @@ from typing import Any
 from . import __version__
 from .abelian import count_solutions_mod
 from .dichotomy import Classification, classify, latin_check, reconstruct_group, replay_witness
-from .evaluator import CapExceeded, eval_bruteforce, evaluate, resolve_brute_cap
+from .evaluator import CapExceeded, eval_bruteforce, eval_tractable, evaluate, resolve_brute_cap
 from .exactcore import IntMatrix, format_rational, snf
 from .fixtures import (
     geometric,
@@ -214,8 +214,7 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], str]:
         cls = classify(g)
         _expect("tractable", cls.tractable, True)
         _expect("factors", cls.components[0].group.decomposition.factors, factors)
-        report, _ = evaluate(g, edge, method="structured", cls=cls)
-        checks.append(_expect(f"structured q={g.q}", report.value, value))
+        checks.append(_expect(f"structured q={g.q}", eval_tractable(cls, edge).value, value))
         checks.append(_expect(f"brute q={g.q}", eval_bruteforce(g, edge), value))
 
     for g, kind in ((not_all_zero(), "NotLatin"), (steiner_fano(), "NotAssociative")):

@@ -11,8 +11,9 @@ machine-checkable witness of the first failed check. replay_witness()
 reruns the stages on the witness's component: a witness replays exactly
 when they fail there with that witness, and in no other way.
 
-All structures refer to elements by their original ids, so results can
-be read against the input table directly.
+The structures and witnesses classify() returns refer to elements by
+their original ids, so results can be read against the input table
+directly; the three group stages work on class ids only.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ WITNESS_KINDS = (
 class HardnessWitness:
     """Evidence that one pipeline check failed on one domain component.
 
-    evidence is JSON-ready (ints, lists, rationals as strings); class-level
-    kinds identify classes by their least element id.
+    evidence is JSON-ready (ints, lists, rationals as strings). The group
+    stages (latin_check, reconstruct_group, equation_check) return their
+    witness on class ids with component (); classify and replay_witness
+    report it on element ids, each class named by its least element.
     """
 
     kind: str
@@ -114,7 +117,6 @@ class FactorStructure:
     component: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     s: int
-    index_of: Mapping[int, int]
     mu: tuple[Fraction, ...]
     constant: Fraction
     relation: frozenset[tuple[int, ...]]
@@ -278,7 +280,6 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
                 },
             )
     mu = norm_sets[0]
-    index_of = {z: i for members in ordered for i, z in enumerate(members)}
     reps = [members[0] for members in ordered]
     class_id = {rep: c for c, rep in enumerate(reps)}.__getitem__
     holders = g.support_index.holders
@@ -318,7 +319,6 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
         component=sc.component,
         classes=tuple(ordered),
         s=s,
-        index_of=index_of,
         mu=mu,
         constant=constant,
         relation=frozenset(relation),
@@ -396,17 +396,12 @@ def _completion_index(
 
 
 def latin_check(
-    relation: frozenset[tuple[int, ...]],
-    r: int,
-    m: int,
-    component: Sequence[int] = (),
-    reps: Sequence[int] | None = None,
+    relation: frozenset[tuple[int, ...]], r: int, m: int
 ) -> dict[tuple[int, ...], int] | HardnessWitness:
     """Every (r-1)-multiset of class ids must extend to the relation in
     exactly one way. Returns the completion function, a dict from each
-    sorted (r-1)-multiset to its one completion, or the witness of the
-    lex-first prefix with no or several completions; reps translates class
-    ids to element ids in evidence (identity when omitted).
+    sorted (r-1)-multiset to its one completion, or the witness, on class
+    ids, of the lex-first prefix with no or several completions.
 
     Members are sorted r-multisets of range(m), so every index key is a
     prefix, and the relation is Latin exactly when no key clashes and all
@@ -416,32 +411,22 @@ def latin_check(
     index, clashes = _completion_index(relation)
     if not clashes and len(index) == math.comb(m + r - 2, r - 1):
         return index
-    reps = tuple(reps) if reps is not None else tuple(range(m))
     for prefix in combinations_with_replacement(range(m), r - 1):
         if prefix in index and prefix not in clashes:
             continue
         completions = [c for c in range(m) if tuple(sorted(prefix + (c,))) in relation]
         return HardnessWitness(
-            KIND_NOT_LATIN,
-            tuple(component),
-            {
-                "prefix": [reps[c] for c in prefix],
-                "completions": [reps[c] for c in completions],
-            },
+            KIND_NOT_LATIN, (), {"prefix": list(prefix), "completions": completions}
         )
     raise ValueError("relation members must be sorted r-multisets of range(m)")
 
 
 def reconstruct_group(
-    completion: Mapping[tuple[int, ...], int],
-    r: int,
-    m: int,
-    zero: int = 0,
-    component: Sequence[int] = (),
-    reps: Sequence[int] | None = None,
+    completion: Mapping[tuple[int, ...], int], r: int, m: int, zero: int = 0
 ) -> GroupStructure | HardnessWitness:
     """Recover the Abelian group forcing a Latin relation, if one exists,
-    from the completion function latin_check returned.
+    from the completion function latin_check returned; a witness names
+    class ids.
 
     With a designated zero class, dot(a, b) completes (a, b, zero^(r-3));
     then a + b = dot(zero, dot(a, b)), the negation is dot(., dot(zero,
@@ -458,7 +443,6 @@ def reconstruct_group(
     group is not checked here: (a, b, zero^(r-3)) is one of the prefixes
     equation_check checks next.
     """
-    reps = tuple(reps) if reps is not None else tuple(range(m))
     pad = (zero,) * (r - 3)
 
     def dot(a: int, b: int) -> int:
@@ -473,26 +457,19 @@ def reconstruct_group(
         a, b, c = triple
         return HardnessWitness(
             KIND_NOT_ASSOCIATIVE,
-            tuple(component),
-            {
-                "triple": [reps[a], reps[b], reps[c]],
-                "left": reps[add[add[a][b]][c]],
-                "right": reps[add[a][add[b][c]]],
-            },
+            (),
+            {"triple": [a, b, c], "left": add[add[a][b]][c], "right": add[a][add[b][c]]},
         )
     group = AbelianGroup(m, tuple(map(tuple, add)), zero, tuple(neg))
     return GroupStructure(group, zsq, decompose(group))
 
 
 def equation_check(
-    completion: Mapping[tuple[int, ...], int],
-    gs: GroupStructure,
-    component: Sequence[int] = (),
-    reps: Sequence[int] | None = None,
+    completion: Mapping[tuple[int, ...], int], gs: GroupStructure
 ) -> HardnessWitness | None:
     """Each entry (prefix, c) of the completion function latin_check
     returned must have c = a - sum(prefix) in the reconstructed group; the
-    witness names the lex-first prefix that fails.
+    witness names, on class ids, the lex-first prefix that fails.
 
     An entry fails exactly when its member, prefix plus c, misses a, and
     dropping a member's largest class gives its lex-first prefix. So only
@@ -508,16 +485,11 @@ def equation_check(
     if not failing:
         return None
     prefix = min(failing)
-    reps = tuple(reps) if reps is not None else tuple(range(group.order))
     expected = group.add(gs.a, group.neg(_group_sum(group, prefix)))
     return HardnessWitness(
         KIND_EQUATION_MISMATCH,
-        tuple(component),
-        {
-            "prefix": [reps[c] for c in prefix],
-            "got": reps[completion[prefix]],
-            "expected": reps[expected],
-        },
+        (),
+        {"prefix": list(prefix), "got": completion[prefix], "expected": expected},
     )
 
 
@@ -532,19 +504,27 @@ def _group_sum(group: AbelianGroup, classes: Sequence[int]) -> int:
 def _classify_component(g: SymFunc, comp: Sequence[int]) -> ComponentStructure | HardnessWitness:
     """Run the five stages on one domain component: the structure, or the
     witness of the first failed stage. Each stage is called by its module
-    name, so a wrapper installed on the module sees every call."""
+    name, so a wrapper installed on the module sees every call. The group
+    stages name classes by id; this is the one place their witness is
+    moved onto comp, each class id c becoming its least element reps[c]."""
     fs = check_product_structure(g, sim_classes(g, comp))
     if isinstance(fs, HardnessWitness):
         return fs
     m = len(fs.classes)
-    completion = latin_check(fs.relation, g.r, m, comp, fs.reps)
+    completion = latin_check(fs.relation, g.r, m)
     if isinstance(completion, HardnessWitness):
-        return completion
-    gr = reconstruct_group(completion, g.r, m, 0, comp, fs.reps)
-    if isinstance(gr, HardnessWitness):
-        return gr
-    w = equation_check(completion, gr, comp, fs.reps)
-    return w if w is not None else ComponentStructure(fs, gr)
+        w = completion
+    else:
+        gr = reconstruct_group(completion, g.r, m)
+        w = gr if isinstance(gr, HardnessWitness) else equation_check(completion, gr)
+        if w is None:
+            return ComponentStructure(fs, gr)
+    reps = fs.reps
+    evidence = {
+        key: [reps[c] for c in v] if isinstance(v, list) else reps[v]
+        for key, v in w.evidence.items()
+    }
+    return HardnessWitness(w.kind, fs.component, evidence)
 
 
 def classify(g: SymFunc) -> Classification:

@@ -410,7 +410,6 @@ def evaluate(
     inst: Instance,
     method: str = "auto",
     cap: int | None = None,
-    cls: Classification | None = None,
 ) -> tuple[EvalReport, Classification | None]:
     """Method dispatch used by the CLI.
 
@@ -419,9 +418,8 @@ def evaluate(
     Tractable function; brute never classifies.
     """
     if method == "brute":
-        return EvalReport(eval_bruteforce(g, inst, cap), "brute"), cls
-    if cls is None:
-        cls = classify(g)
+        return EvalReport(eval_bruteforce(g, inst, cap), "brute"), None
+    cls = classify(g)
     if method == "auto":
         if cls.tractable:
             return eval_tractable(cls, inst, "structured"), cls

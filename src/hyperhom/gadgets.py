@@ -358,16 +358,16 @@ def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return [a[r][n] for r in range(n)]
 
 
-def eval_table_brute(table: MarginalTable, inst: Instance, limit: int = 10_000_000) -> Fraction:
+def eval_table_brute(table: MarginalTable, inst: Instance) -> Fraction:
     """Plain assignment sum of a k-ary value table over an instance.
 
     Test-harness helper (identities compare this against the main
-    evaluator); refuses beyond `limit` assignments.
+    evaluator); refuses beyond 10^7 assignments.
     """
     if inst.scopes and table.k != len(inst.scopes[0]):
         raise ValueError(f"table arity {table.k} != instance arity {len(inst.scopes[0])}")
-    if table.q**inst.n > limit:
-        raise ValueError(f"{table.q}^{inst.n} assignments exceed {limit}")
+    if table.q**inst.n > 10**7:
+        raise ValueError(f"{table.q}^{inst.n} assignments exceed 10^7")
     total = Fraction(0)
     for sigma in product(range(table.q), repeat=inst.n):
         w = Fraction(1)

@@ -14,7 +14,15 @@ import pytest
 import hyperhom
 from hyperhom import fixtures as fx
 from hyperhom.cli import main
+from hyperhom.gadgets import relation_to_symfunc
 from hyperhom.model import CspInstance, Hypergraph, dump_csp, dump_hypergraph, dump_symfunc
+
+
+# Latin and associative (Z4 with zero 0 reads off a target of 0), but the
+# members 1111 and 2223 do not sum to that target: an EquationMismatch
+EQUATION_MISMATCH = frozenset(
+    tuple(int(c) for c in key) for key in "0000 0011 0022 0033 0123 1111 1122 1133 2223 2333".split()
+)
 
 
 @pytest.fixture
@@ -24,6 +32,8 @@ def files(tmp_path):
         ("parity", fx.parity()),
         ("geometric", fx.geometric()),
         ("notallzero", fx.not_all_zero()),
+        ("fano", fx.steiner_fano()),
+        ("mismatch", relation_to_symfunc(EQUATION_MISMATCH, 4, 4)),
     ):
         p = tmp_path / f"{name}.sf"
         p.write_text(dump_symfunc(g))
@@ -300,7 +310,10 @@ def _golden_commands(files, tmp_path):
     big.write_text(dump_hypergraph(Hypergraph(64, ((0, 1, 2),))))
     return {
         "selftest": ["selftest"],
-        **{f"classify-{name}": ["classify", "-g", files[name]] for name in ("parity", "geometric", "notallzero")},
+        **{
+            f"classify-{name}": ["classify", "-g", files[name]]
+            for name in ("parity", "geometric", "notallzero", "fano", "mismatch")
+        },
         **{
             f"eval-{method}": ["eval", "-g", files["geometric"], "-i", files["edge3"], "--method", method]
             for method in ("auto", "structured", "dp-lambda", "brute")
@@ -325,6 +338,8 @@ _GOLDEN = {
     "classify-parity": "efa8fd715259ce912218226fbc76d5ca3d87c8c12c35cc89be6afce869371d55",
     "classify-geometric": "4635fd65120cdc281e2e2cb84ebd84f953aef09ab2a2d9f30b0d1f5fa66957d1",
     "classify-notallzero": "f50a199bfcfabe4f033ce218466675690c6a265b8c30a4e6e8f824a2dd92f8ad",
+    "classify-fano": "6d6331fbdde6629d63922282ee6ac996a74d1c1f35aa13db81356d52c26478ef",
+    "classify-mismatch": "f7b944a7bb100ed8e4aa9b2db94fd8c0cb0cc87529ee83279c18c4fde5831029",
     "eval-auto": "8fbe34ae52453ff9b9ffda65169caafe43b15d32f994fc825dc409528182ea80",
     "eval-structured": "71ffddecffcedf48d75099bd514ae8afb431dafe7e7c163980262af05c45a2ab",
     "eval-dp-lambda": "80996df782576cec06d7c78738b00132ad78a96a8db51a3cacf2a10343b2e5a0",

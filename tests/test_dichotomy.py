@@ -374,7 +374,10 @@ def test_replay_confirms_doctored_equation_witness_false():
     completion = latin_check(frozenset({(0, 0, 0), (0, 1, 1)}), 3, 2)
     gs = reconstruct_group(completion, 3, 2)
     wrong = GroupStructure(group=gs.group, a=1, decomposition=gs.decomposition)
-    w = equation_check(completion, wrong, component=(0, 1), reps=(0, 1))
+    found = equation_check(completion, wrong)
+    # on parity's component (0, 1) each class is its own element, so the
+    # class-id evidence is the element-id evidence
+    w = HardnessWitness(found.kind, (0, 1), found.evidence)
     # parity's true table yields a = 0, so this witness must not replay
     assert not replay_witness(fx.parity(), w)
 

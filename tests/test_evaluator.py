@@ -515,6 +515,7 @@ def test_disjoint_union_multiplies_z():
 # Z_{p^e} with e > 1 and over several invariant factors
 WIDE_BLOCKS = (
     ((2, 4),), ((3, 3),), ((2, 2, 2),), ((2, 4), (3,)), ((2, 2, 2), (2,)), ((3, 3), (2, 2)),
+    ((2, 2), (2, 2)), ((2, 4), (2, 2)),
 )
 
 
@@ -550,14 +551,19 @@ def test_structured_matches_brute_on_noncyclic_groups_components_and_r5():
 
 def test_relabelling_the_domain_keeps_z():
     rng = random.Random(1107)
-    tables = [fx.random_tractable(rng, rng.randint(2, 5)) for _ in range(15)]
-    tables += [_wide_family(rng, f, 3) for f in WIDE_BLOCKS]
-    for g in tables:
-        perm = list(range(g.q))
-        rng.shuffle(perm)
-        moved = SymFunc.from_weights(
-            g.q, g.r, {tuple(sorted(perm[z] for z in key)): w for key, w in g.weights.items()}
-        )
-        for _ in range(3):
-            inst = _random_instance(rng, rng.randint(1, 3 if g.q > 8 else 4), 3)
-            assert _z_all(moved, inst) == _z_all(g, inst)
+    nonzero = 0
+    for r in (3, 4, 5):
+        tables = [fx.random_tractable(rng, rng.randint(2, 5), r) for _ in range(10)]
+        tables += [_wide_family(rng, f, r) for f in WIDE_BLOCKS]
+        for g in tables:
+            perm = list(range(g.q))
+            rng.shuffle(perm)
+            moved = SymFunc.from_weights(
+                g.q, g.r, {tuple(sorted(perm[z] for z in key)): w for key, w in g.weights.items()}
+            )
+            for _ in range(3):
+                inst = _random_instance(rng, rng.randint(1, 3 if g.q > 8 else 4), r)
+                z = _z_all(g, inst)
+                assert _z_all(moved, inst) == z
+                nonzero += z != 0 and len(inst.scopes) > 1
+    assert nonzero >= 40

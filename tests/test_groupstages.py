@@ -354,14 +354,20 @@ def test_equation_check_matches_prefix_scan():
                 for grp in [gs.group] + ([fx.group_from_factors(2, 2)] if m == 4 else []):
                     for a in range(m):  # every target; only the derived one fits its group
                         trial = GroupStructure(grp, a, gs.decomposition)
-                        w = equation_check(completion, trial, (7,), reps)
+                        w = equation_check(completion, trial)
                         ev = prefix_scan(relation, trial, reps)
                         assert (w is None) == (ev is None)
                         if grp is gs.group:
                             assert (w is None) == (a == gs.a)
                         if w is not None:
                             mismatches += 1
-                            assert w.component == (7,) and w.evidence == ev
+                            # the stage names class ids; reps renames them as classify would
+                            named = {
+                                "prefix": [reps[c] for c in w.evidence["prefix"]],
+                                "got": reps[w.evidence["got"]],
+                                "expected": reps[w.evidence["expected"]],
+                            }
+                            assert w.component == () and named == ev
     assert mismatches > 400
 
 
@@ -385,6 +391,21 @@ def test_reconstructed_groups_pass_the_full_group_laws():
 
 # ---------------------------------------------------------------------------
 # decomposition
+
+
+def test_decompose_raises_on_a_table_that_is_no_group():
+    # the all-1 table on {0, 1} is associative, but the multiples of 1 never
+    # reach 0: decompose must raise rather than search forever, whether the
+    # table is built directly or derived from a completion that is not one
+    # latin_check returns
+    with pytest.raises(ValueError):
+        decompose(AbelianGroup(2, ((1, 1), (1, 1)), 0, (0, 0)))
+    with pytest.raises(ValueError):
+        reconstruct_group({(0, 0): 1, (0, 1): 1, (1, 1): 1}, 3, 2)
+    # here 1 + 1 = 0, but 0 + 1 = 0 maps the span {0} onto itself, so it
+    # never grows
+    with pytest.raises(ValueError):
+        decompose(AbelianGroup(2, ((0, 0), (1, 0)), 0, (0, 1)))
 
 
 @pytest.mark.parametrize("factors", GROUP_FACTORS[1:])

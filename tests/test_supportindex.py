@@ -140,9 +140,8 @@ def rescan_product_structure(g, sc):
                     "value_b": format_rational(v),
                 },
             )
-    index_of = {z: i for members in ordered for i, z in enumerate(members)}
     return FactorStructure(
-        sc.component, tuple(ordered), len(first), index_of, norm_sets[0], constant, frozenset(relation)
+        sc.component, tuple(ordered), len(first), norm_sets[0], constant, frozenset(relation)
     )
 
 
@@ -157,15 +156,19 @@ def rescan_classify(g):
         if isinstance(fs, HardnessWitness):
             return kept, removed, (), fs
         m = len(fs.classes)
-        completion = latin_check(fs.relation, g.r, m, comp, fs.reps)
+        completion = latin_check(fs.relation, g.r, m)
         if isinstance(completion, HardnessWitness):
-            return kept, removed, (), completion
-        gr = reconstruct_group(completion, g.r, m, 0, comp, fs.reps)
-        if isinstance(gr, HardnessWitness):
-            return kept, removed, (), gr
-        w = equation_check(completion, gr, comp, fs.reps)
+            w = completion
+        else:
+            gr = reconstruct_group(completion, g.r, m)
+            w = gr if isinstance(gr, HardnessWitness) else equation_check(completion, gr)
         if w is not None:
-            return kept, removed, (), w
+            # the group stages name class ids; name each by its least element
+            evidence = {
+                key: [fs.reps[c] for c in v] if isinstance(v, list) else fs.reps[v]
+                for key, v in w.evidence.items()
+            }
+            return kept, removed, (), HardnessWitness(w.kind, comp, evidence)
         out.append(ComponentStructure(fs, gr))
     return kept, removed, tuple(out), None
 
@@ -173,7 +176,7 @@ def rescan_classify(g):
 def _structure(cs):
     fs, gs = cs.factor, cs.group
     return (
-        fs.component, fs.classes, fs.s, dict(fs.index_of), fs.mu, fs.constant, fs.relation,
+        fs.component, fs.classes, fs.s, fs.mu, fs.constant, fs.relation,
         gs.group.add_table, gs.group.zero, gs.group.neg_table, gs.a,
         gs.decomposition.factors, gs.decomposition.iso,
     )

@@ -17,6 +17,8 @@ from hyperhom.abelian import AbelianGroup, decompose
 from hyperhom.dichotomy import (
     FactorStructure,
     GroupStructure,
+    HardnessWitness,
+    check_product_structure,
     classify,
     equation_check,
     latin_check,
@@ -175,9 +177,8 @@ def dense_classify(g: SymFunc):
                       "value_b": format_rational(v)}
                 return False, None, ("RepValueInconsistent", comp, ev)
         reps = [cls[0] for cls in classes]
-        fs = FactorStructure(comp, tuple(ordered), len(first),
-                             {z: i for cls in ordered for i, z in enumerate(cls)},
-                             norm_sets[0], constant, frozenset(relation))
+        fs = FactorStructure(comp, tuple(ordered), len(first), norm_sets[0], constant,
+                             frozenset(relation))
         ev = dense_latin(fs.relation, g.r, m)
         if ev is not None:
             ev = {"prefix": [reps[c] for c in ev["prefix"]],
@@ -288,7 +289,7 @@ def test_latin_and_equation_checks_on_perturbed_relations():
             relation.add(tuple(sorted(rng.randrange(m) for _ in range(r))))
         relation = frozenset(relation)
         reps = tuple(rng.sample(range(50), m))
-        completion = latin_check(relation, r, m, (9,), reps)
+        completion = latin_check(relation, r, m)
         ev = dense_latin(relation, r, m)
         if ev is None:
             assert completion == {
@@ -296,7 +297,9 @@ def test_latin_and_equation_checks_on_perturbed_relations():
                 for prefix in combinations_with_replacement(range(m), r - 1)
             }
         else:
-            assert completion.evidence == {
+            # the stage names class ids; reps renames both sides as classify would
+            assert completion.component == ()
+            assert {key: [reps[c] for c in v] for key, v in completion.evidence.items()} == {
                 "prefix": [reps[c] for c in ev["prefix"]],
                 "completions": [reps[c] for c in ev["completions"]],
             }
@@ -314,6 +317,48 @@ def test_latin_and_equation_checks_on_perturbed_relations():
             assert (w is None) == (ev is None) == (a == gs.a)
             if w is not None:
                 assert w.evidence == ev
+
+
+def _lift_behind_parity(relation: frozenset, m: int, r: int) -> SymFunc:
+    """Parity on {0, 1}, then `relation` at s = 2 on {2 .. 2m+1}: class c
+    holds 2+c and 2+m+c, and its index-0 member (mu = 1) is 2+m+c, so the
+    index-0 members are not the least ones."""
+    parity = combinations_with_replacement((0, 1), r)
+    weights = {key: Fraction(1) for key in parity if sum(key) % 2 == 0}
+    members = [(2 + m + c, 2 + c) for c in range(m)]
+    for alpha in relation:
+        for ivec in product(range(2), repeat=r):
+            key = tuple(sorted(members[c][i] for c, i in zip(alpha, ivec)))
+            weights[key] = Fraction(2) ** sum(ivec)
+    return SymFunc.from_weights(2 + 2 * m, r, weights)
+
+
+def test_group_stage_witnesses_name_classes_by_least_element():
+    mismatch = frozenset(
+        tuple(map(int, key)) for key in "0000 0011 0022 0033 0123 1111 1122 1133 2223 2333".split()
+    )
+    for relation, m, r, kind in (
+        (mismatch, 4, 4, "EquationMismatch"),
+        (frozenset(fx.steiner_fano().weights), 7, 3, "NotAssociative"),
+    ):
+        g = _lift_behind_parity(relation, m, r)
+        cls = classify(g)
+        comp = tuple(range(2, 2 + 2 * m))
+        fs = check_product_structure(g, sim_classes(g, comp))
+        assert fs.relation == relation and fs.s == 2
+        assert fs.reps == tuple(range(2, 2 + m)) != tuple(members[0] for members in fs.classes)
+        # the stage's witness on class ids, named through fs.reps
+        completion = latin_check(fs.relation, r, m)
+        found = reconstruct_group(completion, r, m)
+        if not isinstance(found, HardnessWitness):
+            found = equation_check(completion, found)
+        named = {
+            key: [fs.reps[c] for c in v] if isinstance(v, list) else fs.reps[v]
+            for key, v in found.evidence.items()
+        }
+        w = cls.witness
+        assert (w.kind, w.component, w.evidence) == (kind, comp, named)
+        assert replay_witness(g, w)
 
 
 # ---------------------------------------------------------------------------
