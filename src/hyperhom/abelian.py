@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .exactcore import IntMatrix
@@ -76,50 +77,24 @@ class AbelianGroup:
 
     @staticmethod
     def direct_sum(*groups: "AbelianGroup") -> "AbelianGroup":
-        order = math.prod(g.order for g in groups)
-        sizes = [g.order for g in groups]
-
-        def split(x: int) -> list[int]:
-            out = []
-            for s in reversed(sizes):
-                out.append(x % s)
-                x //= s
-            return out[::-1]
-
-        def join(parts: Sequence[int]) -> int:
-            x = 0
-            for s, p in zip(sizes, parts):
-                x = x * s + p
-            return x
-
+        """Direct sum, coordinatewise: element x is the x-th coordinate tuple
+        in itertools.product order (the last coordinate varies fastest), and
+        the empty sum is the order-1 group."""
+        coords = list(product(*(range(g.order) for g in groups)))
+        index = {c: x for x, c in enumerate(coords)}
         table = tuple(
-            tuple(
-                join([g.add_table[pa][pb] for g, pa, pb in zip(groups, split(a), split(b))])
-                for b in range(order)
-            )
-            for a in range(order)
+            tuple(index[tuple(map(AbelianGroup.add, groups, ca, cb))] for cb in coords)
+            for ca in coords
         )
-        zero = join([g.zero for g in groups])
-        neg = tuple(join([g.neg_table[p] for g, p in zip(groups, split(a))]) for a in range(order))
-        return AbelianGroup(order, table, zero, neg)
+        zero = index[tuple(g.zero for g in groups)]
+        neg = tuple(index[tuple(map(AbelianGroup.neg, groups, c))] for c in coords)
+        return AbelianGroup(len(coords), table, zero, neg)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
         return self.neg_table[a]
-
-    def scale(self, k: int, x: int) -> int:
-        """k-fold sum of x (k may be any integer)."""
-        if k < 0:
-            return self.scale(-k, self.neg_table[x])
-        acc = self.zero
-        while k:
-            if k & 1:
-                acc = self.add_table[acc][x]
-            x = self.add_table[x][x]
-            k >>= 1
-        return acc
 
     def element_order(self, x: int) -> int:
         acc = x
@@ -203,12 +178,17 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
     its true order matches (a direct complement always exists), and
     extends the coordinate map. The result is verified on its basis by
     _verify_decomposition. A table that is no group raises ValueError when
-    a multiple of x misses the span for group.order steps or the shifted
-    spans collide (the cosets of a group are disjoint); so every round
-    multiplies the span by at least 2, and the search ends.
+    a multiple of x misses the span for group.order steps, no shifted
+    representative has the coset's order, the shifted spans collide (the
+    cosets of a group are disjoint) or the verification fails; so every
+    round multiplies the span by at least 2, and the search ends.
+
+    Associativity is the caller's to prove, since the verification relies
+    on it: ((2, 2, 0), (2, 0, 1), (0, 1, 2)) with zero 2 is commutative
+    with an identity but not associative, and returns factors (3,).
+    reconstruct_group runs Light's test first, from_add_table proves it,
+    and cyclic and direct_sum hold it by construction.
     """
-    if group.order == 1:
-        return CyclicDecomposition((), ((),))
     spans: dict[int, tuple[int, ...]] = {group.zero: ()}
     orders_desc: list[int] = []
     while len(spans) < group.order:
@@ -229,7 +209,7 @@ def decompose(group: AbelianGroup) -> CyclicDecomposition:
             None,
         )
         if rep is None:
-            raise AssertionError("no direct complement representative found")
+            raise ValueError(f"not a group: no element of the coset of {best_x} has order {best_d}")
         new_spans: dict[int, tuple[int, ...]] = {}
         step = group.zero
         for j in range(best_d):
@@ -266,10 +246,10 @@ def _verify_decomposition(
         or len(set(iso)) != m
         or any(len(v) != t or any(not 0 <= c < d for c, d in zip(v, factors)) for v in iso)
     ):
-        raise AssertionError("decomposition is not a bijection")
+        raise ValueError("not a group: the coordinate map is not a bijection")
     for i in range(t - 1):
         if factors[i + 1] % factors[i] != 0:
-            raise AssertionError(f"invariant chain broken: {factors}")
+            raise ValueError(f"not a group: the invariant chain {factors} is broken")
     element = {v: x for x, v in enumerate(iso)}
     for k, d in enumerate(factors):
         e = element[(0,) * k + (1,) + (0,) * (t - k - 1)]
@@ -277,7 +257,7 @@ def _verify_decomposition(
             v = iso[x]
             want = v[:k] + ((v[k] + 1) % d,) + v[k + 1 :]
             if iso[group.add(x, e)] != want:
-                raise AssertionError(f"coordinate map not additive at ({x}, {e})")
+                raise ValueError(f"not a group: the coordinate map is not additive at ({x}, {e})")
 
 
 # ---------------------------------------------------------------------------

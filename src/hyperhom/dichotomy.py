@@ -328,46 +328,30 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
 def verify_factoring_identity(g: SymFunc, fs: FactorStructure) -> HardnessWitness | None:
     """Check g(z)^r == prod over positions of g at uniform per-factor index.
 
+    For each relation member alpha in sorted order and each ivec in
+    product(range(s), repeat=r), z takes index ivec[j] in class alpha[j]
+    and U_i index i in every class of alpha; g(z)^r must equal
+    prod_j g(U_{ivec[j]}). The first failure is returned as a witness.
     classify does not call this: a structure that check_product_structure
     returned for g satisfies it (proof there). It stays as a check that
     reads only the table, for a structure paired with another table.
     classify never emits its witness kind, so replay_witness never
     confirms one.
-
-    For a relation member alpha, an index vector ivec picks z with index
-    ivec[j] in class alpha[j], and U_i takes index i in every class of
-    alpha. A uniform ivec gives z = U_i and g(U_i)^r on both sides, so it
-    is skipped. Permuting ivec within a run of equal classes in alpha
-    keeps z and both sides, so one vector per key is checked: the one
-    non-decreasing within each run, which comes first in product order,
-    so the first failure is the one a scan of all s^r vectors would find.
-    The s values g(U_i) are looked up once per alpha; at s = 1 nothing is
-    left to check.
     """
-    if fs.s == 1:
-        return None
     r = g.r
     for alpha in sorted(fs.relation):
-        uniform = [tuple(fs.classes[c][i] for c in alpha) for i in range(fs.s)]
-        uniform_value = [g.value(u) for u in uniform]
-        runs = [
-            combinations_with_replacement(range(fs.s), alpha.count(c))
-            for c in dict.fromkeys(alpha)
-        ]
-        for parts in product(*runs):
-            ivec = sum(parts, ())
-            if ivec.count(ivec[0]) == r:
-                continue
-            z = tuple(fs.classes[c][i] for c, i in zip(alpha, ivec))
+        for ivec in product(range(fs.s), repeat=r):
+            z = [fs.classes[c][i] for c, i in zip(alpha, ivec)]
+            uniform = [[fs.classes[c][i] for c in alpha] for i in ivec]
             lhs = g.value(z) ** r
-            rhs = math.prod((uniform_value[i] for i in ivec), start=Fraction(1))
+            rhs = math.prod(map(g.value, uniform), start=Fraction(1))
             if lhs != rhs:
                 return HardnessWitness(
                     KIND_FACTORING_IDENTITY_VIOLATION,
                     fs.component,
                     {
                         "elements": sorted(z),
-                        "uniform": [sorted(uniform[i]) for i in ivec],
+                        "uniform": [sorted(u) for u in uniform],
                         "lhs": format_rational(lhs),
                         "rhs": format_rational(rhs),
                     },
@@ -443,6 +427,8 @@ def reconstruct_group(
     group is not checked here: (a, b, zero^(r-3)) is one of the prefixes
     equation_check checks next.
     """
+    if not 0 <= zero < m:
+        raise ValueError(f"zero must be a class id in range(m), got zero={zero} with m={m}")
     pad = (zero,) * (r - 3)
 
     def dot(a: int, b: int) -> int:

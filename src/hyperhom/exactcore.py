@@ -3,8 +3,8 @@
 Everything in the package computes over exact types; floats never appear.
 This module provides the rational text syntax used by all file formats,
 a small immutable integer matrix, and a Smith normal form that carries
-the unimodular transforms (needed to count solutions of linear systems
-over Z_d).
+the unimodular transforms (the selftest's check and the tests' reference
+count of solutions of linear systems over Z_d; no command counts by it).
 """
 
 from __future__ import annotations
@@ -125,104 +125,67 @@ class SnfResult:
     rank: int
 
 
-def _min_abs_nonzero(a: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    best: tuple[int, int] | None = None
-    best_val = 0
-    for i in range(t, rows):
-        row = a[i]
-        for j in range(t, cols):
-            v = row[j]
-            if v != 0 and (best is None or abs(v) < best_val):
-                best = (i, j)
-                best_val = abs(v)
-    return best
-
-
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transforms.
+    """Smith normal form with transforms, by the textbook algorithm.
 
-    Pivoting picks the smallest-|value| nonzero entry of the working
-    submatrix (ties: lowest row, then column), which keeps intermediate
-    entries small without needing gcd tricks in the common case.
+    Step t moves a least-|value| entry of a[t:, t:] (ties: lowest row,
+    then column) to (t, t) and clears row and column t by floor division;
+    a remainder becomes the next, smaller pivot. Once both are clear, a
+    later row that the pivot does not divide is added to row t. Row
+    operations act on u too and column operations on v, so u m v = a.
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def add_row(dst: int, src: int, k: int) -> None:
+        for mat in (a, u):
+            mat[dst] = [x + k * y for x, y in zip(mat[dst], mat[src])]
+
+    def add_col(dst: int, src: int, k: int) -> None:
+        for mat in (a, v):
+            for row in mat:
+                row[dst] += k * row[src]
+
     t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        piv = _min_abs_nonzero(a, t, rows, cols)
-        if piv is None:
+    while t < min(rows, cols):
+        pivot, least = None, 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                if row[j] and (pivot is None or abs(row[j]) < least):
+                    pivot, least = (i, j), abs(row[j])
+        if pivot is None:
             break
-        while True:
-            pr, pc = piv
-            if pr != t:
-                a[t], a[pr] = a[pr], a[t]
-                u[t], u[pr] = u[pr], u[t]
-            if pc != t:
-                for row in a:
-                    row[t], row[pc] = row[pc], row[t]
-                for row in v:
-                    row[t], row[pc] = row[pc], row[t]
-            p = a[t][t]
-            clean = True
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    if q:
-                        ai, at = a[i], a[t]
-                        for j in range(t, cols):
-                            ai[j] -= q * at[j]
-                        ui, ut = u[i], u[t]
-                        for j in range(rows):
-                            ui[j] -= q * ut[j]
-                    if a[i][t] != 0:
-                        clean = False
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if a[t][j] != 0:
-                        clean = False
-            if clean:
-                # pivot must divide the rest of the submatrix for the
-                # divisibility chain; fold an offending row in and redo
-                offender = None
-                for i in range(t + 1, rows):
-                    ai = a[i]
-                    for j in range(t + 1, cols):
-                        if ai[j] % p != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                at, ao = a[t], a[offender]
-                for j in range(t, cols):
-                    at[j] += ao[j]
-                ut, uo = u[t], u[offender]
-                for j in range(rows):
-                    ut[j] += uo[j]
-            piv = _min_abs_nonzero(a, t, rows, cols)
-        t += 1
-    rank = t
-    for i in range(rank):
+        i, j = pivot
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            if q := a[i][t] // p:
+                add_row(i, t, -q)
+        for j in range(t + 1, cols):
+            if q := a[t][j] // p:
+                add_col(j, t, -q)
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+            continue
+        offender = next((i for i in range(t + 1, rows) for x in a[i][t + 1 :] if x % p), None)
+        if offender is None:
+            t += 1
+        else:
+            add_row(t, offender, 1)
+    for i in range(t):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j and a[i][j] != 0:
-                raise AssertionError("smith reduction left an off-diagonal entry")
     return SnfResult(
         U=IntMatrix.from_rows(u, cols=rows),
         S=IntMatrix.from_rows(a, cols=cols),
         V=IntMatrix.from_rows(v, cols=cols),
-        rank=rank,
+        rank=t,
     )

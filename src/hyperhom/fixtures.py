@@ -43,8 +43,6 @@ __all__ = [
 
 def group_from_factors(*factors: int) -> AbelianGroup:
     """Direct sum of cyclic groups of the given orders (trivial for none)."""
-    if not factors:
-        return AbelianGroup.cyclic(1)
     return AbelianGroup.direct_sum(*(AbelianGroup.cyclic(d) for d in factors))
 
 

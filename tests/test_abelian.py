@@ -37,7 +37,6 @@ def test_cyclic_basics():
     assert z4.order == 4 and z4.zero == 0
     assert z4.add(3, 2) == 1
     assert z4.neg(3) == 1
-    assert z4.scale(5, 3) == 3
     assert z4.element_order(2) == 2
     assert z4.element_order(1) == 4
     assert z4.element_order(0) == 1
@@ -48,6 +47,50 @@ def test_direct_sum_layout():
     assert g.order == 6
     # element = 3 * first + second in this layout; (1,1) + (1,2) = (0,0)
     assert g.add(3 + 1, 3 + 2) == 0
+
+
+def mixed_radix_direct_sum(*groups: AbelianGroup) -> AbelianGroup:
+    """Reference for direct_sum's numbering: element x splits into mixed-radix
+    digits, one per group, the last group's digit varying fastest."""
+    order = math.prod(g.order for g in groups)
+    sizes = [g.order for g in groups]
+
+    def split(x: int) -> list[int]:
+        out = []
+        for s in reversed(sizes):
+            out.append(x % s)
+            x //= s
+        return out[::-1]
+
+    def join(parts) -> int:
+        x = 0
+        for s, p in zip(sizes, parts):
+            x = x * s + p
+        return x
+
+    table = tuple(
+        tuple(
+            join([g.add_table[pa][pb] for g, pa, pb in zip(groups, split(a), split(b))])
+            for b in range(order)
+        )
+        for a in range(order)
+    )
+    zero = join([g.zero for g in groups])
+    neg = tuple(join([g.neg_table[p] for g, p in zip(groups, split(a))]) for a in range(order))
+    return AbelianGroup(order, table, zero, neg)
+
+
+@pytest.mark.parametrize("factors", [(), (1,), (2, 3), (4, 2, 2), (8, 8), (2,) * 6])
+def test_direct_sum_numbering_is_mixed_radix(factors):
+    got = fx.group_from_factors(*factors)
+    want = mixed_radix_direct_sum(*(AbelianGroup.cyclic(d) for d in factors))
+    assert got.order == math.prod(factors)
+    assert (got.order, got.add_table, got.zero, got.neg_table) == (
+        want.order,
+        want.add_table,
+        want.zero,
+        want.neg_table,
+    )
 
 
 DECOMPOSE_CASES = [

@@ -142,6 +142,23 @@ def test_snf_random_matrices():
         _check_snf(m)
 
 
+@pytest.mark.parametrize(
+    "rows,cols,diagonal",
+    [
+        ([], 0, ()),
+        ([], 3, ()),
+        ([[], [], []], 0, ()),
+        ([[0, 0, 0], [0, 0, 0]], 3, (0, 0)),
+        ([[-4]], 1, (4,)),
+        ([[6, 10], [10, 15], [15, 6]], 2, (1, 1)),
+    ],
+)
+def test_snf_edge_shapes(rows, cols, diagonal):
+    m = IntMatrix.from_rows(rows, cols=cols)
+    _check_snf(m)
+    assert snf(m).S.diagonal() == diagonal
+
+
 def test_snf_rank_deficient():
     m = IntMatrix.from_rows([[2, 4], [1, 2], [3, 6]])
     res = snf(m)

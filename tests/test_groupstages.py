@@ -371,6 +371,13 @@ def test_equation_check_matches_prefix_scan():
     assert mismatches > 400
 
 
+def test_reconstruct_group_rejects_a_zero_outside_the_classes():
+    completion = latin_check(fx.shifted_mod4_relation(), 3, 4)
+    for zero in (7, 4, -1):
+        with pytest.raises(ValueError, match=rf"zero={zero} with m=4"):
+            reconstruct_group(completion, 3, 4, zero=zero)
+
+
 def test_reconstructed_groups_pass_the_full_group_laws():
     # reconstruct_group proves identity, inverses and commutativity in its
     # docstring instead of asserting them; from_add_table checks them all
@@ -408,6 +415,24 @@ def test_decompose_raises_on_a_table_that_is_no_group():
         decompose(AbelianGroup(2, ((0, 0), (1, 0)), 0, (0, 1)))
 
 
+def test_decompose_raises_value_error_on_random_tables():
+    # every random table either decomposes or is named as no group; none
+    # trips an internal assertion
+    rng = random.Random(1515)
+    outcomes = {"decomposed": 0, "rejected": 0}
+    for _ in range(3000):
+        m = rng.randint(2, 4)
+        table = tuple(tuple(rng.randrange(m) for _ in range(m)) for _ in range(m))
+        neg = tuple(rng.randrange(m) for _ in range(m))
+        try:
+            decompose(AbelianGroup(m, table, rng.randrange(m), neg))
+            outcomes["decomposed"] += 1
+        except ValueError as exc:
+            assert str(exc).startswith("not a group: ")
+            outcomes["rejected"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 @pytest.mark.parametrize("factors", GROUP_FACTORS[1:])
 def test_decomposition_check_matches_all_pairs_on_swapped_coordinates(factors):
     group = fx.group_from_factors(*factors)
@@ -424,7 +449,7 @@ def test_decomposition_check_matches_all_pairs_on_swapped_coordinates(factors):
             try:
                 _verify_decomposition(group, dec.factors, iso)
                 got = True
-            except AssertionError:
+            except ValueError:
                 got = False
             assert got == want, (a, b)
             rejected += not got
@@ -440,7 +465,7 @@ def test_decomposition_check_rejects_bad_coordinates():
         tuple((1, 2) if v == (1, 0) else v for v in dec.iso),  # the first unit vector missing
         tuple((x,) for x in range(4)),  # Z4 coordinates on Z2 + Z2
     ):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="not a group"):
             _verify_decomposition(group, dec.factors, iso)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not a group"):
         _verify_decomposition(group, (4,), tuple((x,) for x in range(4)))
