@@ -1,12 +1,13 @@
 """Exact evaluation of the partition sum Z: brute force and structured paths.
 
 Z is the sum over all assignments sigma: vertices -> domain of the product
-of the weight function over all scopes. The brute-force path is the oracle
-(guarded by an assignment-count cap); the structured path uses a Tractable
-classification to evaluate in polynomial time as a product over connected
-instance pieces of sum-over-components Lambda * hom-count, and comes in
-two flavors: a closed form for Lambda and an independent monomial dynamic
-program kept as a cross-check.
+of the weight function over all scopes. The brute-force path is the oracle:
+an exact sum over a frontier of live vertices, guarded by a cap on its
+states. The structured path uses a Tractable classification to evaluate in
+polynomial time as a product over connected instance pieces of
+sum-over-components Lambda * hom-count, and comes in two flavors: a closed
+form for Lambda and an independent monomial dynamic program kept as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ _CAP_ENV = "HYPERHOM_BRUTE_CAP"
 
 
 class CapExceeded(RuntimeError):
-    """Brute-force refusal: the assignment space exceeds the configured cap."""
+    """Oracle refusal: the frontier sum's state bound exceeds the configured cap."""
 
 
 def resolve_brute_cap(cap: int | None = None) -> int:
-    """The cap on q^n: the argument, then HYPERHOM_BRUTE_CAP, then the
-    default. 0 refuses every brute-force evaluation; a negative or
+    """The cap on the oracle's states: the argument, then HYPERHOM_BRUTE_CAP,
+    then the default. 0 refuses every brute-force evaluation; a negative or
     non-integer value raises ValueError."""
     if cap is None:
         env = os.environ.get(_CAP_ENV)
@@ -121,27 +122,38 @@ def _dfs_plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
 
 
 def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
-    """Oracle evaluation by depth-first search over assignments.
+    """Oracle evaluation by a sum over a frontier, in `_dfs_plan` order.
 
-    Scopes are checked as soon as their last vertex is assigned, and a
-    partial product is pruned at its first zero. Weights are pre-scaled
-    to one integer table, so the search multiplies plain ints and builds
-    one Fraction at the end. Value z is placed as base + z, and the table
-    is keyed by the product of a key's placed values, so each scope is
-    read by one precompiled itemgetter and math.prod, with no sort. The
-    last vertex runs as an inner loop over its q placed values. The
-    search is a loop over per-depth state, so its depth is not bound by
-    the recursion limit and its memory is O(n). Raises CapExceeded when
-    q^n exceeds the cap (argument, then HYPERHOM_BRUTE_CAP, then the
-    default).
+    A state assigns the live vertices: those entered that still have a
+    scope to complete. Each depth adds its vertex q ways, multiplies in
+    the scopes that complete there (a state is dropped at its first zero)
+    and sums out every vertex whose last scope has just completed. A
+    vertex in no scope multiplies Z by q and never enters a state.
+    Weights are pre-scaled to one integer table keyed by the product of
+    base + z over a key's values z, so each scope is read by one
+    precompiled itemgetter and math.prod, and one Fraction is built at
+    the end. Memory is O(largest layer of states). Before any state is
+    built, raises CapExceeded when the bound 1 + sum over depths of
+    q^(live vertices) exceeds the cap (argument, then HYPERHOM_BRUTE_CAP,
+    then the default).
     """
     _check_instance(g.r, inst)
     cap = resolve_brute_cap(cap)
-    n, q = inst.n, g.q
-    if q**n > cap:
-        raise CapExceeded(f"{q}^{n} assignments exceed the configured cap {cap}")
-    if not inst.scopes:
-        return Fraction(q) ** n
+    q = g.q
+    _, completing = _dfs_plan(inst)
+    # the depth of each vertex in a scope -> the depth of its last scope
+    done = {p: d for d, level in enumerate(completing) for positions in level for p in positions}
+    depths = sorted(done)
+    retiring = Counter(done.values())
+    states_bound, live = 1, 0
+    for d in depths:
+        if states_bound > cap:
+            break
+        live += 1
+        states_bound += q**live
+        live -= retiring[d]
+    if states_bound > cap:
+        raise CapExceeded(f"{states_bound} or more states exceed the configured cap {cap}")
     scale = math.lcm(*(w.denominator for w in g.weights.values()))
     # prod(base + z) over a key's values z has the elementary symmetric
     # sums of the z as its digits in base (2q)^r, each below the base, so
@@ -151,63 +163,37 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
         math.prod(base + z for z in key): w.numerator * (scale // w.denominator)
         for key, w in g.weights.items()
     }
-    _, completing = _dfs_plan(inst)
-    # r >= 3, so each getter returns a tuple
-    getters = [[itemgetter(*positions) for positions in level] for level in completing]
-    final = getters[-1]
-    end = base + q
-    leaves = range(base, end)
-    # placed[d] is base + the value under trial at depth d (base - 1
-    # before the first); weights[d] is the product of the scopes
-    # completed above depth d.
-    placed = [base - 1] * n
-    weights = [1] * n
     lookup = table.get
-    total = 0
-    last = n - 1
-    depth = 0 if last else -1
-    while depth >= 0:
-        place = placed[depth] + 1
-        if place == end:
-            placed[depth] = base - 1
-            depth -= 1
-            continue
-        placed[depth] = place
-        w = weights[depth]
-        for get in getters[depth]:
-            f = lookup(math.prod(get(placed)))
-            if f is None:
-                w = 0
-                break
-            w *= f
-        if not w:
-            continue
-        if depth + 1 < last:
-            depth += 1
-            weights[depth] = w
-        else:
-            total += _last_level(placed, last, leaves, final, lookup, w)
-    if not last:
-        total = _last_level(placed, last, leaves, final, lookup, 1)
+    places = range(base, base + q)
+    states: dict[tuple[int, ...], int] = {(): 1}
+    frontier: list[int] = []  # depths of the live vertices, in key order
+    for d in depths:
+        frontier.append(d)
+        slot = {p: i for i, p in enumerate(frontier)}
+        # r >= 3, so each getter returns a tuple
+        getters = [itemgetter(*(slot[p] for p in positions)) for positions in completing[d]]
+        kept = [i for i, p in enumerate(frontier) if done[p] > d]
+        frontier = [frontier[i] for i in kept]
+        if len(kept) > 1:
+            project = itemgetter(*kept)
+        else:  # one index would give a bare value, so a slice keeps a tuple
+            project = itemgetter(slice(kept[0], kept[0] + 1) if kept else slice(0))
+        layer: dict[tuple[int, ...], int] = {}
+        for key, w0 in states.items():
+            for place in places:
+                full = key + (place,)
+                w = w0
+                for get in getters:
+                    f = lookup(math.prod(get(full)))
+                    if f is None:
+                        break
+                    w *= f
+                else:
+                    out = project(full)
+                    layer[out] = layer.get(out, 0) + w
+        states = layer
+    total = states.get((), 0) * q ** (inst.n - len(done))
     return Fraction(total, scale ** len(inst.scopes))
-
-
-def _last_level(placed, last, leaves, final, lookup, w0) -> int:
-    """Sum over the last vertex's placed values of w0 times its completed scopes."""
-    if not final:
-        return w0 * len(leaves)
-    total = 0
-    for place in leaves:
-        placed[last] = place
-        w = w0
-        for get in final:
-            f = lookup(math.prod(get(placed)))
-            if f is None:
-                break
-            w *= f
-        else:
-            total += w
-    return total
 
 
 def lambda_factor_direct(fs: FactorStructure, degs: Sequence[int], m_count: int) -> Fraction:

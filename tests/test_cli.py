@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -155,9 +156,14 @@ def test_eval_structured_on_hard_is_input_error(files, capsys):
     assert report["status"] == "error"
 
 
+# every vertex of the complete 3-uniform hypergraph on 9 vertices stays live
+# to the last depth: 1 + 2 + ... + 2^9 = 1023 states at q = 2
+WIDE = Hypergraph(9, tuple(combinations(range(9), 3)))
+
+
 def test_eval_cap_exceeded(files, capsys, tmp_path):
     big = tmp_path / "big.hg"
-    big.write_text(dump_hypergraph(Hypergraph(64, ((0, 1, 2),))))
+    big.write_text(dump_hypergraph(WIDE))
     code, report, _ = run_cli(
         capsys,
         "eval",
@@ -171,7 +177,7 @@ def test_eval_cap_exceeded(files, capsys, tmp_path):
         "1000",
     )
     assert code == 1
-    assert "cap" in report["payload"]["message"]
+    assert report["payload"]["message"].endswith("1023 or more states exceed the configured cap 1000")
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "abc"])
@@ -192,7 +198,7 @@ def test_eval_brute_cap_values(files, capsys, monkeypatch, via, value):
         assert code == 1 and report["status"] == "error"
         message = report["payload"]["message"]
         if value == "0":  # 0 refuses every brute-force evaluation
-            assert "2^3 assignments exceed the configured cap 0" in message
+            assert "1 or more states exceed the configured cap 0" in message
         else:
             assert value in message and "exceed" not in message
 
@@ -307,7 +313,7 @@ def test_parser_reuse_matches_fresh_interpreters(files, capsys):
 
 def _golden_commands(files, tmp_path):
     big = tmp_path / "big.hg"
-    big.write_text(dump_hypergraph(Hypergraph(64, ((0, 1, 2),))))
+    big.write_text(dump_hypergraph(WIDE))
     return {
         "selftest": ["selftest"],
         **{
@@ -352,7 +358,7 @@ _GOLDEN = {
     "gadget-eq-elim": "b693a87fd9af8b7d02a1aef30869d8fbf82ab70e805cfa2941881ae76d91f1d2",
     "missing-file": "5b50a857dc41beadb3fe473381606e2f234775e3f7a32c8d02e03ce2057c9a82",
     "bad-flag": "fc7ab1f52cd6bd5a2d4ff3b4c86b3013a1fba1ee655f78348837d6d9fcc2b91f",
-    "cap-exceeded": "fe2bc50c3d215dfc4e788f779f29edb0939140d0e4bcaf413f2998a8a2c5934c",
+    "cap-exceeded": "4ad4165dbfb5aea1df811de897a889a65853ef39645d4bfc8aa9913996b44f2b",
 }
 
 

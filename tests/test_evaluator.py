@@ -5,7 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -69,7 +69,7 @@ def test_bruteforce_rational_weights():
 
 
 def test_bruteforce_deeper_than_recursion_limit():
-    # q = 1 passes any cap, so the search goes one level per vertex
+    # q = 1 and 1197 vertices in no scope, each a factor of 1 outside every state
     one = SymFunc.from_weights(1, 3, {(0, 0, 0): Fraction(3, 2)})
     assert eval_bruteforce(one, Hypergraph(1200, ((0, 1, 2),))) == Fraction(3, 2)
 
@@ -121,21 +121,87 @@ def test_dfs_plan_scales_to_sparse_instances():
     assert order[:3] == [0, 1, 2] and sorted(order) == list(range(3000))
 
 
+def _complete(n):
+    """The complete 3-uniform hypergraph: every vertex stays live to the last
+    depth, so the frontier sum's state bound is 1 + q + ... + q^n."""
+    return Hypergraph(n, tuple(combinations(range(n), 3)))
+
+
 def test_cap_guard_and_resolution(monkeypatch):
-    big = Hypergraph(40, ((0, 1, 2),))
+    wide = _complete(40)  # 2^41 - 1 states
     with pytest.raises(CapExceeded):
-        eval_bruteforce(fx.parity(), big, cap=2**30)
+        eval_bruteforce(fx.parity(), wide, cap=2**30)
     monkeypatch.delenv("HYPERHOM_BRUTE_CAP", raising=False)
     assert resolve_brute_cap(None) == DEFAULT_BRUTE_CAP
     assert resolve_brute_cap(123) == 123
     monkeypatch.setenv("HYPERHOM_BRUTE_CAP", "5000")
     assert resolve_brute_cap(None) == 5000
     assert resolve_brute_cap(77) == 77  # explicit argument wins
-    small = Hypergraph(13, ())
+    small = _complete(12)
     with pytest.raises(CapExceeded):
-        eval_bruteforce(fx.parity(), small)  # 2^13 > 5000 from env
+        eval_bruteforce(fx.parity(), small)  # 2^13 - 1 > 5000 from env
     monkeypatch.setenv("HYPERHOM_BRUTE_CAP", "9001")
-    assert eval_bruteforce(fx.parity(), small) == 8192
+    assert eval_bruteforce(fx.parity(), small) == _reference_bruteforce(fx.parity(), small)
+    # vertices in no scope never enter a state, whatever q^n
+    assert eval_bruteforce(fx.parity(), Hypergraph(13, ()), cap=1) == 8192
+
+
+def test_cap_boundary_is_the_state_count():
+    for g in (fx.parity(), fx.mixed(), fx.random_table(random.Random(11), 3, zero_frac=0.3)):
+        inst = _complete(5)
+        count = sum(g.q**k for k in range(6))
+        assert eval_bruteforce(g, inst, cap=count) == _reference_bruteforce(g, inst)
+        with pytest.raises(CapExceeded, match=f"^{count} or more states exceed the configured cap {count - 1}$"):
+            eval_bruteforce(g, inst, cap=count - 1)
+    one_edge = Hypergraph(40, ((0, 1, 2),))  # 1 + 2 + 4 + 8 states; 37 free vertices
+    assert eval_bruteforce(fx.parity(), one_edge, cap=15) == 2**39
+    with pytest.raises(CapExceeded, match="^15 or more states"):
+        eval_bruteforce(fx.parity(), one_edge, cap=14)
+
+
+def test_cap_refuses_acceptance6_shape_before_any_state():
+    inst = fx.random_connected_hypergraph(random.Random(606), 1000, 10000, 3)
+    g = fx.mixed()
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded) as refusal:
+        eval_bruteforce(g, inst, cap=DEFAULT_BRUTE_CAP)
+    assert time.perf_counter() - started < 1.0
+    # the bound stops at its first step past the cap, and a step adds at
+    # most q times the bound before it
+    count = int(str(refusal.value).split()[0])
+    assert DEFAULT_BRUTE_CAP < count <= (g.q + 1) * DEFAULT_BRUTE_CAP
+
+
+def _loose_path_z(g, edges):
+    """Z on a loose path, edge i sharing its first vertex with edge i-1's
+    last: a vector over the shared vertex, pushed through each edge."""
+    q = g.q
+    vec = [Fraction(1)] * q
+    for _ in edges:
+        vec = [sum(vec[a] * g.value((a, b, c)) for a in range(q) for b in range(q)) for c in range(q)]
+    return sum(vec)
+
+
+def test_oracle_equals_structured_at_scale():
+    """The oracle against the structured path on narrow instances whose q^n
+    no enumeration reaches. Budget: 5 s for the whole test (about 1.1 s
+    measured on a 2-vCPU VM, steiner_fano included)."""
+    started = time.perf_counter()
+    rng = random.Random(1604)
+    loose = [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(100)]
+    tight = [(i, i + 1, i + 2) for i in range(58)]
+    cycle = [tuple(sorted((i, (i + 1) % 60, (i + 2) % 60))) for i in range(60)]
+    instances = [Hypergraph(201, tuple(loose)), Hypergraph(60, tuple(tight)), Hypergraph(60, tuple(cycle))]
+    functions = [fx.mixed(), fx.parity(), fx.geometric(), fx.parity_loop_blocks(), fx.parity_allones_blocks()]
+    functions += [fx.random_tractable(rng, q) for q in (4, 5)]  # seeded blocks, junk and s >= 2
+    for g in functions:
+        cls = classify(g)
+        for inst in instances:
+            assert eval_bruteforce(g, inst) == eval_tractable(cls, inst).value
+    # a hard function, so only the oracle has a value, over 7^201 assignments
+    fano = fx.steiner_fano()
+    assert eval_bruteforce(fano, Hypergraph(201, tuple(loose))) == _loose_path_z(fano, loose)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_cap_rejects_negative_and_malformed_values(monkeypatch):
@@ -350,8 +416,9 @@ def test_evaluate_structured_dp():
 
 
 def _reference_bruteforce(g, inst):
-    """DFS over assignments with sorted-tuple table lookups and a pushed
-    last depth; same plan and pruning as eval_bruteforce."""
+    """DFS over all q^n assignments in plan order, with sorted-tuple table
+    lookups and pruning at a partial product's first zero. It shares only
+    the plan with eval_bruteforce, which sums over a frontier instead."""
     n, q = inst.n, g.q
     if not inst.scopes:
         return Fraction(q) ** n

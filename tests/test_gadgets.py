@@ -197,14 +197,13 @@ def test_vertex_power_identity():
     two_edges = Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
     gs = [fx.geometric(), fx.mixed(), fx.random_table(rng, 2, zero_frac=0.2)]
     for g in gs:
-        insts = [EDGE3, two_edges] if g.q == 2 else [EDGE3]
         for j in (1, 2):
             hj = power_function(g, j)
-            for inst in insts:
+            # vertex_power(two_edges, 2) has q^16 assignments, 4^16 for mixed(),
+            # but its frontier holds a few thousand states
+            for inst in (EDGE3, two_edges):
                 res = vertex_power(inst, j)
-                assert eval_bruteforce(hj, inst) == eval_bruteforce(
-                    g, res.instance, cap=10**8
-                )
+                assert eval_bruteforce(hj, inst) == eval_bruteforce(g, res.instance)
 
 
 def test_power_function_geometric_single_edge():
