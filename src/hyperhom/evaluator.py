@@ -12,10 +12,9 @@ cross-check.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -78,15 +77,15 @@ def _check_instance(g_r: int, inst: Instance) -> None:
         raise ValueError(f"instance arity {len(inst.scopes[0])} != function arity {g_r}")
 
 
-def _dfs_plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
-    """Vertex order greedy for early scope completion, plus, per depth, the
-    scopes (as position tuples) that become fully assigned there.
+def _plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+    """Vertex order by one breadth-first queue, plus, per depth, the scopes
+    (as position tuples) that become fully assigned there.
 
-    Each step takes the unchosen vertex with the most scopes it would
-    complete, then the most scopes it touches, then the least id. The
-    touch count of an unchosen vertex never changes, and its completion
-    count only grows, when a scope drops to one unseen vertex; so a lazy
-    max-heap gives the greedy order in O((n + sum of degrees) * log n).
+    Each connected piece starts at its least vertex. When a vertex enters,
+    every member of its scopes that has not entered joins the back of the
+    queue, except the one member a scope still lacks, which jumps to the
+    front, so that scope completes next. A popped vertex that has already
+    entered is skipped. Cost O(n + sum of scope sizes squared).
     """
     n = inst.n
     scopes = inst.scopes
@@ -95,24 +94,24 @@ def _dfs_plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
     for si, scope in enumerate(members):
         for v in scope:
             touching[v].append(si)
-    unseen = [len(scope) for scope in members]
-    completes = [sum(1 for si in touching[v] if unseen[si] == 1) for v in range(n)]
-    heap = [(-completes[v], -len(touching[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    chosen = [False] * n
+    lacking = [len(scope) for scope in members]
+    entered = [False] * n
     order: list[int] = []
-    while heap:
-        neg_completes, _, v = heapq.heappop(heap)
-        if chosen[v] or -neg_completes != completes[v]:
-            continue
-        order.append(v)
-        chosen[v] = True
-        for si in touching[v]:
-            unseen[si] -= 1
-            if unseen[si] == 1:
-                last = next(u for u in members[si] if not chosen[u])
-                completes[last] += 1
-                heapq.heappush(heap, (-completes[last], -len(touching[last]), last))
+    queue: deque[int] = deque()
+    for start in range(n):
+        queue.append(start)
+        while queue:
+            v = queue.popleft()
+            if entered[v]:
+                continue
+            entered[v] = True
+            order.append(v)
+            for si in touching[v]:
+                lacking[si] -= 1
+                push = queue.appendleft if lacking[si] == 1 else queue.append
+                for u in members[si]:
+                    if not entered[u]:
+                        push(u)
     pos = {v: i for i, v in enumerate(order)}
     completing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for scope in scopes:
@@ -122,7 +121,7 @@ def _dfs_plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
 
 
 def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
-    """Oracle evaluation by a sum over a frontier, in `_dfs_plan` order.
+    """Oracle evaluation by a sum over a frontier, in `_plan` order.
 
     A state assigns the live vertices: those entered that still have a
     scope to complete. Each depth adds its vertex q ways, multiplies in
@@ -140,7 +139,7 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     _check_instance(g.r, inst)
     cap = resolve_brute_cap(cap)
     q = g.q
-    _, completing = _dfs_plan(inst)
+    _, completing = _plan(inst)
     # the depth of each vertex in a scope -> the depth of its last scope
     done = {p: d for d, level in enumerate(completing) for positions in level for p in positions}
     depths = sorted(done)

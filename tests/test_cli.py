@@ -119,16 +119,17 @@ def test_eval_value_beyond_int_str_digits(tmp_path, capsys):
     assert int(Decimal(text)) == 4**8000
 
 
-def test_eval_brute_deeper_than_recursion_limit(tmp_path, capsys):
-    g = tmp_path / "one.sf"
-    g.write_text("symfunc v1\nq 1\nr 3\n0 0 0 = 3/2\n")
+def test_eval_brute_deeper_than_recursion_limit(files, tmp_path, capsys):
+    # a loose path with 600 edges: a plan 1200 deep; its 600 even-sum
+    # constraints are independent over Z2, so Z = 2^(1201 - 600)
+    loose = tuple((2 * i, 2 * i + 1, 2 * i + 2) for i in range(600))
     inst = tmp_path / "long.hg"
-    inst.write_text(dump_hypergraph(Hypergraph(1200, ((0, 1, 2),))))
+    inst.write_text(dump_hypergraph(Hypergraph(1201, loose)))
     code, report, _ = run_cli(
-        capsys, "eval", "-g", str(g), "-i", str(inst), "--method", "brute"
+        capsys, "eval", "-g", files["parity"], "-i", str(inst), "--method", "brute"
     )
     assert code == 0
-    assert report["payload"]["value"] == "3/2"
+    assert report["payload"]["value"] == str(2**601)
 
 
 def test_eval_hard_auto_uses_brute(files, capsys):

@@ -15,7 +15,7 @@ from hyperhom.dichotomy import classify
 from hyperhom.evaluator import (
     DEFAULT_BRUTE_CAP,
     CapExceeded,
-    _dfs_plan,
+    _plan,
     eval_bruteforce,
     eval_tractable,
     evaluate,
@@ -24,7 +24,8 @@ from hyperhom.evaluator import (
     monomial_value,
     resolve_brute_cap,
 )
-from hyperhom.model import CspInstance, Hypergraph, SymFunc, degrees
+from hyperhom.gadgets import component_separator
+from hyperhom.model import CspInstance, Hypergraph, SymFunc, degrees, instance_components
 
 EDGE = Hypergraph(3, ((0, 1, 2),))
 
@@ -69,54 +70,54 @@ def test_bruteforce_rational_weights():
 
 
 def test_bruteforce_deeper_than_recursion_limit():
+    # a loose path with 600 edges: a plan 1200 deep, past Python's default
+    # recursion limit of 1000, at q = 2
+    loose = [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(600)]
+    path = Hypergraph(1201, tuple(loose))
+    for g in (fx.parity(), fx.random_table(random.Random(71), 2, zero_frac=0.2)):
+        assert eval_bruteforce(g, path) == _loose_path_z(g, loose)
     # q = 1 and 1197 vertices in no scope, each a factor of 1 outside every state
     one = SymFunc.from_weights(1, 3, {(0, 0, 0): Fraction(3, 2)})
     assert eval_bruteforce(one, Hypergraph(1200, ((0, 1, 2),))) == Fraction(3, 2)
 
 
-def _quadratic_plan_order(inst):
-    """The greedy vertex order written out directly: every step rescans all
-    unchosen vertices for (completes, active, -v)."""
-    touching = [[] for _ in range(inst.n)]
-    for si, scope in enumerate(inst.scopes):
-        for v in set(scope):
-            touching[v].append(si)
-    unseen = [len(set(s)) for s in inst.scopes]
-    chosen, order = [False] * inst.n, []
-    for _ in range(inst.n):
-        best = max(
-            (sum(1 for si in touching[v] if unseen[si] == 1),
-             sum(1 for si in touching[v] if unseen[si] > 0), -v)
-            for v in range(inst.n)
-            if not chosen[v]
-        )
-        v = -best[2]
-        order.append(v)
-        chosen[v] = True
-        for si in touching[v]:
-            unseen[si] -= 1
-    return order
+def _shuffled_union(rng, left, right):
+    """left and right side by side, under one random relabelling of all vertices."""
+    label = list(range(left.n + right.n))
+    rng.shuffle(label)
+    scopes = [tuple(label[v] for v in scope) for scope in left.scopes]
+    scopes += [tuple(label[left.n + v] for v in scope) for scope in right.scopes]
+    if isinstance(left, Hypergraph):
+        return Hypergraph(len(label), tuple(tuple(sorted(e)) for e in scopes))
+    return CspInstance(len(label), tuple(scopes), ())
 
 
-def test_dfs_plan_matches_quadratic_greedy():
+def test_plan_orders_pieces_contiguously_and_completes_each_scope_once():
     rng = random.Random(7702)
-    for _ in range(60):
+    split = 0
+    for _ in range(200):
         r = rng.randint(2, 4)
+        make, n_max, m_max = rng.choice(((fx.random_hypergraph, 14, 25), (fx.random_csp, 10, 20)))
+        inst = make(rng, n_max, m_max, r)
         if rng.random() < 0.5:
-            inst = fx.random_hypergraph(rng, 14, 25, r)
-        else:
-            inst = fx.random_csp(rng, 10, 20, r)
-        order, completing = _dfs_plan(inst)
-        assert order == _quadratic_plan_order(inst)
+            inst = _shuffled_union(rng, inst, make(rng, n_max, m_max, r))
+        order, completing = _plan(inst)
+        assert sorted(order) == list(range(inst.n))
         pos = {v: i for i, v in enumerate(order)}
-        assert sorted(p for depth in completing for p in depth) == sorted(
-            tuple(pos[v] for v in scope) for scope in inst.scopes
-        )
+        placed = sorted((d, positions) for d, level in enumerate(completing) for positions in level)
+        scopes = [tuple(pos[v] for v in scope) for scope in inst.scopes]
+        assert placed == sorted((max(positions), positions) for positions in scopes)
+        pieces = instance_components(inst).pieces
+        for _, verts in pieces:
+            spots = sorted(pos[v] for v in verts)
+            assert spots[-1] - spots[0] == len(spots) - 1
+        split += len(pieces) > 1
+    assert split >= 60
 
 
-def test_dfs_plan_scales_to_sparse_instances():
+def test_plan_scales_to_sparse_instances():
     started = time.perf_counter()
-    order, _ = _dfs_plan(Hypergraph(3000, ((0, 1, 2),)))
+    order, _ = _plan(Hypergraph(3000, ((0, 1, 2),)))
     assert time.perf_counter() - started < 1.0
     assert order[:3] == [0, 1, 2] and sorted(order) == list(range(3000))
 
@@ -184,23 +185,32 @@ def _loose_path_z(g, edges):
 
 def test_oracle_equals_structured_at_scale():
     """The oracle against the structured path on narrow instances whose q^n
-    no enumeration reaches. Budget: 5 s for the whole test (about 1.1 s
-    measured on a 2-vCPU VM, steiner_fano included)."""
+    no enumeration reaches, the loose path also under shuffled labels, and
+    component separators of one edge. Budget: 5 s for the whole test (about
+    1.3 s measured on a 2-vCPU VM, steiner_fano included)."""
     started = time.perf_counter()
     rng = random.Random(1604)
     loose = [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(100)]
+    label = list(range(201))
+    random.Random(1604).shuffle(label)
+    shuffled = Hypergraph(201, tuple(tuple(sorted(label[v] for v in e)) for e in loose))
     tight = [(i, i + 1, i + 2) for i in range(58)]
     cycle = [tuple(sorted((i, (i + 1) % 60, (i + 2) % 60))) for i in range(60)]
-    instances = [Hypergraph(201, tuple(loose)), Hypergraph(60, tuple(tight)), Hypergraph(60, tuple(cycle))]
+    instances = [Hypergraph(201, tuple(loose)), shuffled, Hypergraph(60, tuple(tight)), Hypergraph(60, tuple(cycle))]
     functions = [fx.mixed(), fx.parity(), fx.geometric(), fx.parity_loop_blocks(), fx.parity_allones_blocks()]
     functions += [fx.random_tractable(rng, q) for q in (4, 5)]  # seeded blocks, junk and s >= 2
     for g in functions:
         cls = classify(g)
         for inst in instances:
             assert eval_bruteforce(g, inst) == eval_tractable(cls, inst).value
+    mixed = classify(fx.mixed())
+    for p in (3, 4, 6):
+        sep = component_separator(EDGE, p).instance
+        assert eval_bruteforce(mixed.func, sep) == eval_tractable(mixed, sep).value
     # a hard function, so only the oracle has a value, over 7^201 assignments
     fano = fx.steiner_fano()
-    assert eval_bruteforce(fano, Hypergraph(201, tuple(loose))) == _loose_path_z(fano, loose)
+    for inst in instances[:2]:
+        assert eval_bruteforce(fano, inst) == _loose_path_z(fano, loose)
     assert time.perf_counter() - started < 5.0
 
 
@@ -416,7 +426,7 @@ def test_evaluate_structured_dp():
 
 
 def _reference_bruteforce(g, inst):
-    """DFS over all q^n assignments in plan order, with sorted-tuple table
+    """DFS over all q^n assignments in `_plan` order, with sorted-tuple table
     lookups and pruning at a partial product's first zero. It shares only
     the plan with eval_bruteforce, which sums over a frontier instead."""
     n, q = inst.n, g.q
@@ -424,7 +434,7 @@ def _reference_bruteforce(g, inst):
         return Fraction(q) ** n
     scale = math.lcm(*(w.denominator for w in g.weights.values()))
     table = {key: int(w * scale) for key, w in g.weights.items()}
-    _, completing = _dfs_plan(inst)
+    _, completing = _plan(inst)
     sigma, weights = [-1] * n, [1] * n
     total, last, depth = 0, n - 1, 0
     while depth >= 0:

@@ -308,7 +308,6 @@ def test_product_structure_implies_factoring_identity():
             if isinstance(fs, FactorStructure):
                 reached += 1
                 assert verify_factoring_identity(doctored, fs) is None
-                assert full_factoring_scan(doctored, fs) is None
     assert reached >= 50
 
 
