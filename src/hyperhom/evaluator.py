@@ -13,8 +13,7 @@ cross-check.
 from __future__ import annotations
 
 import math
-import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -23,7 +22,7 @@ from typing import Mapping, Sequence
 from .abelian import count_homs
 from .dichotomy import Classification, FactorStructure, classify
 from .exactcore import format_rational
-from .model import CspInstance, Instance, degrees, instance_components
+from .model import CspInstance, Instance, degrees, instance_components, instance_plan
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_CAP = 10_000_000
-_CAP_ENV = "HYPERHOM_BRUTE_CAP"
 
 
 class CapExceeded(RuntimeError):
@@ -50,20 +48,12 @@ class CapExceeded(RuntimeError):
 
 
 def resolve_brute_cap(cap: int | None = None) -> int:
-    """The cap on the oracle's states: the argument, then HYPERHOM_BRUTE_CAP,
-    then the default. 0 refuses every brute-force evaluation; a negative or
-    non-integer value raises ValueError."""
+    """The cap on the oracle's states: the argument, else the default. 0
+    refuses every brute-force evaluation; a negative value raises
+    ValueError."""
     if cap is None:
-        env = os.environ.get(_CAP_ENV)
-        if env is None:
-            return DEFAULT_BRUTE_CAP
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"bad {_CAP_ENV} value {env!r}") from exc
-        if cap < 0:
-            raise ValueError(f"bad {_CAP_ENV} value {env!r}: the cap must be at least 0")
-    elif cap < 0:
+        return DEFAULT_BRUTE_CAP
+    if cap < 0:
         raise ValueError(f"bad brute-force cap {cap}: the cap must be at least 0")
     return cap
 
@@ -77,51 +67,8 @@ def _check_instance(g_r: int, inst: Instance) -> None:
         raise ValueError(f"instance arity {len(inst.scopes[0])} != function arity {g_r}")
 
 
-def _plan(inst: Instance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
-    """Vertex order by one breadth-first queue, plus, per depth, the scopes
-    (as position tuples) that become fully assigned there.
-
-    Each connected piece starts at its least vertex. When a vertex enters,
-    every member of its scopes that has not entered joins the back of the
-    queue, except the one member a scope still lacks, which jumps to the
-    front, so that scope completes next. A popped vertex that has already
-    entered is skipped. Cost O(n + sum of scope sizes squared).
-    """
-    n = inst.n
-    scopes = inst.scopes
-    members = [tuple(set(scope)) for scope in scopes]
-    touching: list[list[int]] = [[] for _ in range(n)]
-    for si, scope in enumerate(members):
-        for v in scope:
-            touching[v].append(si)
-    lacking = [len(scope) for scope in members]
-    entered = [False] * n
-    order: list[int] = []
-    queue: deque[int] = deque()
-    for start in range(n):
-        queue.append(start)
-        while queue:
-            v = queue.popleft()
-            if entered[v]:
-                continue
-            entered[v] = True
-            order.append(v)
-            for si in touching[v]:
-                lacking[si] -= 1
-                push = queue.appendleft if lacking[si] == 1 else queue.append
-                for u in members[si]:
-                    if not entered[u]:
-                        push(u)
-    pos = {v: i for i, v in enumerate(order)}
-    completing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for scope in scopes:
-        positions = tuple(pos[v] for v in scope)
-        completing[max(positions)].append(positions)
-    return order, completing
-
-
 def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
-    """Oracle evaluation by a sum over a frontier, in `_plan` order.
+    """Oracle evaluation by a sum over a frontier, in `instance_plan` order.
 
     A state assigns the live vertices: those entered that still have a
     scope to complete. Each depth adds its vertex q ways, multiplies in
@@ -133,13 +80,12 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     precompiled itemgetter and math.prod, and one Fraction is built at
     the end. Memory is O(largest layer of states). Before any state is
     built, raises CapExceeded when the bound 1 + sum over depths of
-    q^(live vertices) exceeds the cap (argument, then HYPERHOM_BRUTE_CAP,
-    then the default).
+    q^(live vertices) exceeds the cap (argument, else the default).
     """
     _check_instance(g.r, inst)
     cap = resolve_brute_cap(cap)
     q = g.q
-    _, completing = _plan(inst)
+    _, _, completing = instance_plan(inst)
     # the depth of each vertex in a scope -> the depth of its last scope
     done = {p: d for d, level in enumerate(completing) for positions in level for p in positions}
     depths = sorted(done)

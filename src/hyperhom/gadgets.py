@@ -24,7 +24,6 @@ from .model import (
     CspInstance,
     Hypergraph,
     Instance,
-    MarginalTable,
     SymFunc,
     degrees,
     instance_components,
@@ -133,9 +132,9 @@ def tilde_f(g: SymFunc, k: int) -> tuple[tuple[Fraction, ...], ...]:
     if not 2 <= k <= g.r:
         raise ValueError(f"need 2 <= k <= r, got k={k}")
     f = marginalize(g, k)
-    den = math.lcm(*(v.denominator for v in f.values.values()))
+    den = math.lcm(*(v.denominator for v in f.weights.values()))
     slices: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for key, v in f.values.items():
+    for key, v in f.weights.items():
         scaled = v.numerator * (den // v.denominator)
         for i, z in enumerate(key):
             if i == 0 or key[i - 1] != z:
@@ -358,14 +357,14 @@ def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return [a[r][n] for r in range(n)]
 
 
-def eval_table_brute(table: MarginalTable, inst: Instance) -> Fraction:
-    """Plain assignment sum of a k-ary value table over an instance.
+def eval_table_brute(table: SymFunc, inst: Instance) -> Fraction:
+    """Plain assignment sum of a value table of any arity over an instance.
 
     Test-harness helper (identities compare this against the main
     evaluator); refuses beyond 10^7 assignments.
     """
-    if inst.scopes and table.k != len(inst.scopes[0]):
-        raise ValueError(f"table arity {table.k} != instance arity {len(inst.scopes[0])}")
+    if inst.scopes and table.r != len(inst.scopes[0]):
+        raise ValueError(f"table arity {table.r} != instance arity {len(inst.scopes[0])}")
     if table.q**inst.n > 10**7:
         raise ValueError(f"{table.q}^{inst.n} assignments exceed 10^7")
     total = Fraction(0)

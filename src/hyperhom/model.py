@@ -21,7 +21,7 @@ file; constraint lines may repeat (a multiset of scopes).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +38,6 @@ __all__ = [
     "Hypergraph",
     "CspInstance",
     "Instance",
-    "MarginalTable",
     "PruneResult",
     "InstanceComponents",
     "orderings_count",
@@ -53,6 +52,7 @@ __all__ = [
     "prune_domain",
     "link_roots",
     "domain_components",
+    "instance_plan",
     "instance_components",
     "degrees",
 ]
@@ -71,6 +71,8 @@ class SymFunc:
     """Symmetric function on size-r multisets over {0..q-1}.
 
     weights holds only the nonzero entries, keyed by sorted tuples.
+    from_weights admits r >= 3 only; marginalize builds tables of any
+    arity down to 1.
     """
 
     q: int
@@ -480,39 +482,20 @@ def load_instance(text: str) -> Instance:
 # marginals, pruning, components
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalTable:
-    """Sum of a weight function over all ordered completions of a k-multiset.
-
-    values holds only nonzero entries keyed by sorted k-tuples; the support
-    of this table is the arity-k co-occurrence relation of the function.
-    """
-
-    q: int
-    k: int
-    values: Mapping[tuple[int, ...], Fraction]
-
-    def value(self, key: Sequence[int]) -> Fraction:
-        return self.values.get(tuple(sorted(key)), _ZERO)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.values)
-
-
-def marginalize(g: SymFunc, k: int) -> MarginalTable:
+def marginalize(g: SymFunc, k: int) -> SymFunc:
     """Table of f(z1..zk) = sum over ordered (r-k)-tuples w of g(z, w).
 
-    Driven by the support: each nonzero key K adds g(K) times the number of
-    orderings of K - z to every distinct k-sub-multiset z of K, so the cost
-    is O(|support| * C(r, k)) whatever the domain size. Values are listed in
-    sorted key order.
+    The arity-k table is a SymFunc whose support is the arity-k
+    co-occurrence relation of g; at k = r it is g itself. Driven by the
+    support: each nonzero key K adds g(K) times the number of orderings of
+    K - z to every distinct k-sub-multiset z of K, so the cost is
+    O(|support| * C(r, k)) whatever the domain size. Below r, values are
+    listed in sorted key order.
     """
     if not 1 <= k <= g.r:
         raise ValueError(f"marginal arity {k} outside 1..{g.r}")
-    values: dict[tuple[int, ...], Fraction] = {}
     if k == g.r:
-        values.update(g.weights)
-        return MarginalTable(g.q, k, values)
+        return g
     sums: dict[tuple[int, ...], Fraction] = {}
     for key, w in g.weights.items():
         for z in dict.fromkeys(combinations(key, k)):
@@ -520,10 +503,7 @@ def marginalize(g: SymFunc, k: int) -> MarginalTable:
             for e in z:
                 rest.remove(e)
             sums[z] = sums.get(z, _ZERO) + orderings_count(rest) * w
-    for z in sorted(sums):
-        if sums[z]:
-            values[z] = sums[z]
-    return MarginalTable(g.q, k, values)
+    return SymFunc(g.q, k, {z: sums[z] for z in sorted(sums) if sums[z]})
 
 
 @dataclass(frozen=True)
@@ -615,33 +595,88 @@ def degrees(inst: Instance) -> tuple[int, ...]:
     return tuple(d)
 
 
+def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple[int, ...]]]]:
+    """Vertex order by one breadth-first queue, the depth at which each
+    connected piece begins, and, per depth, the scopes (as position tuples)
+    that become fully assigned there.
+
+    Each piece starts at its least vertex not yet entered, so the pieces
+    come in order of least vertex, and a vertex in no scope is a piece of
+    its own. When a vertex enters, every member of its scopes that has not
+    entered joins the back of the queue, except the one member a scope
+    still lacks, which jumps to the front, so that scope completes next. A
+    popped vertex that has already entered is skipped. Cost O(n + sum of
+    scope sizes squared).
+    """
+    n = inst.n
+    scopes = inst.scopes
+    members = [tuple(set(scope)) for scope in scopes]
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for si, scope in enumerate(members):
+        for v in scope:
+            touching[v].append(si)
+    lacking = [len(scope) for scope in members]
+    entered = [False] * n
+    order: list[int] = []
+    starts: list[int] = []
+    queue: deque[int] = deque()
+    for start in range(n):
+        if entered[start]:
+            continue
+        starts.append(len(order))
+        queue.append(start)
+        while queue:
+            v = queue.popleft()
+            if entered[v]:
+                continue
+            entered[v] = True
+            order.append(v)
+            for si in touching[v]:
+                lacking[si] -= 1
+                push = queue.appendleft if lacking[si] == 1 else queue.append
+                for u in members[si]:
+                    if not entered[u]:
+                        push(u)
+    pos = {v: i for i, v in enumerate(order)}
+    completing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for scope in scopes:
+        positions = tuple(pos[v] for v in scope)
+        completing[max(positions)].append(positions)
+    return order, starts, completing
+
+
 def instance_components(inst: Instance) -> InstanceComponents:
-    root = link_roots(inst.n, inst.scopes)
-    deg = degrees(inst)
-    isolated = sum(1 for v in range(inst.n) if deg[v] == 0)
-    members: dict[int, list[int]] = {}
-    for v in range(inst.n):
-        if deg[v] > 0:
-            members.setdefault(root[v], []).append(v)
-    scope_groups: dict[int, list[tuple[int, ...]]] = {least: [] for least in members}
-    for scope in inst.scopes:
-        scope_groups[root[scope[0]]].append(scope)
-    eq_groups: dict[int, list[tuple[int, int]]] = {least: [] for least in members}
+    """The pieces of an instance are the runs of its plan (instance_plan)
+    that complete a scope: vertices ascending, scopes in the order the plan
+    completes them, so the counter eliminates along the walk. The other
+    runs are the vertices in no scope. An equality must join two vertices
+    of one piece, else ValueError."""
+    order, starts, completing = instance_plan(inst)
+    runs = []
+    piece_of = [-1] * inst.n  # -1 for a vertex in no scope
+    for a, b in zip(starts, starts[1:] + [inst.n]):
+        if any(completing[a:b]):
+            for v in order[a:b]:
+                piece_of[v] = len(runs)
+            runs.append((a, b))
+    equalities: list[list[tuple[int, int]]] = [[] for _ in runs]
     if isinstance(inst, CspInstance):
         for u, w in inst.equalities:
-            ru, rw = root[u], root[w]
-            if ru != rw or deg[u] == 0 or deg[w] == 0:
+            if piece_of[u] != piece_of[w] or piece_of[u] < 0:
                 raise ValueError(f"equality ({u}, {w}) does not stay inside one component")
-            eq_groups[ru].append((u, w))
+            equalities[piece_of[u]].append((u, w))
     pieces = []
-    for least in sorted(members):
-        verts = tuple(members[least])
+    for (a, b), eqs in zip(runs, equalities):
+        verts = tuple(sorted(order[a:b]))
         renum = {old: new for new, old in enumerate(verts)}
-        scopes = tuple(tuple(renum[v] for v in s) for s in scope_groups[least])
+        scopes = tuple(
+            tuple(renum[order[p]] for p in positions)
+            for level in completing[a:b]
+            for positions in level
+        )
         if isinstance(inst, Hypergraph):
             piece: Instance = Hypergraph(len(verts), scopes)
         else:
-            eqs = tuple((renum[u], renum[w]) for u, w in eq_groups[least])
-            piece = CspInstance(len(verts), scopes, eqs)
+            piece = CspInstance(len(verts), scopes, tuple((renum[u], renum[w]) for u, w in eqs))
         pieces.append((piece, verts))
-    return InstanceComponents(tuple(pieces), isolated)
+    return InstanceComponents(tuple(pieces), len(starts) - len(runs))

@@ -17,7 +17,8 @@ from hyperhom.abelian import (
     occurrence_matrix,
 )
 from hyperhom.exactcore import IntMatrix, snf
-from hyperhom.model import CspInstance, Hypergraph
+from hyperhom.model import CspInstance, Hypergraph, instance_components
+from test_evaluator import _shuffled_union
 
 
 def test_from_add_table_rejects_bad_tables():
@@ -381,6 +382,29 @@ def test_count_homs_crt_and_direct_sum_at_scale():
         assert count_homs(z6, a, inst) == c2[a % 2] * c3[a % 3]
     for a, b in product(range(2), repeat=2):
         assert count_homs(z2z2, 2 * a + b, inst) == c2[a] * c2[b]
+
+
+def test_count_homs_ignores_row_order():
+    """The count in input order, as a product over the instance_components
+    pieces (rows in plan order, |G| per isolated vertex) and with the
+    scopes shuffled; CSPs repeat variables."""
+    rng = random.Random(1990)
+    decs = [decompose(fx.group_from_factors(*f)) for f in ((2,), (4,), (3,), (2, 4))]
+    for _ in range(40):
+        r = rng.randint(2, 4)
+        make, n_max, m_max = rng.choice(((fx.random_hypergraph, 30, 40), (fx.random_csp, 24, 30)))
+        inst = _shuffled_union(rng, make(rng, n_max, m_max, r), make(rng, n_max, m_max, r))
+        split = instance_components(inst)
+        scopes = list(inst.scopes)
+        rng.shuffle(scopes)
+        shuffled = CspInstance(inst.n, tuple(scopes), ())
+        for dec in decs:
+            order = math.prod(dec.factors)
+            for a in (0, rng.randrange(order)):
+                want = count_homs(dec, a, inst)
+                pieces = math.prod(count_homs(dec, a, piece) for piece, _ in split.pieces)
+                assert pieces * order**split.isolated == want
+                assert count_homs(dec, a, shuffled) == want
 
 
 def test_occurrence_matrix():

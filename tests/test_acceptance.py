@@ -35,7 +35,7 @@ from hyperhom.gadgets import (
     two_stretch,
     vertex_power,
 )
-from hyperhom.model import CspInstance, Hypergraph, MarginalTable, degrees, marginalize
+from hyperhom.model import CspInstance, Hypergraph, SymFunc, degrees, marginalize
 from test_exactcore import det_int
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
@@ -189,7 +189,7 @@ def test_criterion_4_gadget_identities(record_acceptance):
             f2 = marginalize(g, 2)
             h = [[f2.value((x, y)) for y in range(g.q)] for x in range(g.q)]
             h2 = gram(h)
-            table = MarginalTable(
+            table = SymFunc(
                 g.q, 2, {(x, y): h2[x][y] for x in range(g.q) for y in range(x, g.q) if h2[x][y]}
             )
             for inst in (triangle, cycle4, loop):

@@ -181,17 +181,11 @@ def test_eval_cap_exceeded(files, capsys, tmp_path):
     assert report["payload"]["message"].endswith("1023 or more states exceed the configured cap 1000")
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "abc"])
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_eval_brute_cap_values(files, capsys, monkeypatch, via, value):
-    monkeypatch.delenv("HYPERHOM_BRUTE_CAP", raising=False)
-    cap = []
-    if via == "flag":
-        cap = ["--brute-cap", value]
-    else:
-        monkeypatch.setenv("HYPERHOM_BRUTE_CAP", value)
+@pytest.mark.parametrize("value", ["-1", "0", "abc"], ids=lambda value: f"flag-{value}")
+def test_eval_brute_cap_values(files, capsys, value):
     for method in ("brute", "auto"):  # parity is tractable: auto never runs brute force
-        argv = ["eval", "-g", files["parity"], "-i", files["edge3"], "--method", method, *cap]
+        argv = ["eval", "-g", files["parity"], "-i", files["edge3"], "--method", method]
+        argv += ["--brute-cap", value]
         code, report, _ = run_cli(capsys, *argv)
         if value == "0" and method == "auto":
             assert code == 0 and report["payload"]["value"] == "4"

@@ -27,7 +27,7 @@ from hyperhom.gadgets import (
     two_stretch,
     vertex_power,
 )
-from hyperhom.model import CspInstance, Hypergraph, MarginalTable, SymFunc, marginalize, orderings_count
+from hyperhom.model import CspInstance, Hypergraph, SymFunc, marginalize, orderings_count
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
 TRIANGLE = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
@@ -167,7 +167,7 @@ def test_stretch_identity():
         f2 = marginalize(g, 2)
         h = [[f2.value((x, y)) for y in range(g.q)] for x in range(g.q)]
         h2 = gram(h)
-        table = MarginalTable(
+        table = SymFunc(
             g.q, 2, {(x, y): h2[x][y] for x in range(g.q) for y in range(x, g.q) if h2[x][y]}
         )
         for inst in (
@@ -392,5 +392,5 @@ def test_interpolation_surplus_consistent():
 def test_brute_harness_helpers():
     f2 = marginalize(fx.parity(), 2)
     assert eval_table_brute(f2, TRIANGLE) == 8
-    h = MarginalTable(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(1)})
+    h = SymFunc(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(1)})
     assert eval_table_brute(h, Hypergraph(2, ((0, 1),))) == 6

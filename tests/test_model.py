@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from hyperhom.model import (
     dump_hypergraph,
     dump_symfunc,
     instance_components,
+    instance_plan,
     link_roots,
     load_csp,
     load_hypergraph,
@@ -27,6 +29,7 @@ from hyperhom.model import (
     orderings_count,
     prune_domain,
 )
+from test_evaluator import _shuffled_union
 
 
 def test_symfunc_validation():
@@ -164,7 +167,7 @@ def test_marginal_total_mass(seedbits, q):
     )
     for k in (1, 2):
         table = marginalize(g, k)
-        total_k = sum(orderings_count(key) * v for key, v in table.values.items())
+        total_k = sum(orderings_count(key) * v for key, v in table.weights.items())
         assert total_k == total_r
 
 
@@ -222,3 +225,34 @@ def test_instance_components_csp_equality_spanning():
     bad = CspInstance(4, ((0, 1, 2),), ((0, 3),))
     with pytest.raises(ValueError):
         instance_components(bad)
+    across = CspInstance(6, ((3, 4, 5), (0, 1, 2)), ((4, 5), (2, 3)))
+    with pytest.raises(ValueError):
+        instance_components(across)
+    within = instance_components(CspInstance(6, ((3, 4, 5), (0, 1, 2)), ((5, 3),)))
+    assert [piece.equalities for piece, _ in within.pieces] == [(), ((2, 0),)]
+
+
+def test_instance_components_are_the_plan_runs():
+    """Pieces by least vertex, each connected, vertices ascending and scopes
+    in non-decreasing plan depth; together they hold every scope once, and
+    isolated counts the vertices in no scope."""
+    rng = random.Random(1818)
+    for _ in range(150):
+        r = rng.randint(2, 4)
+        make, n_max, m_max = rng.choice(((fx.random_hypergraph, 14, 12), (fx.random_csp, 10, 8)))
+        inst = _shuffled_union(rng, make(rng, n_max, m_max, r), make(rng, n_max, m_max, r))
+        order, _, _ = instance_plan(inst)
+        pos = {v: i for i, v in enumerate(order)}
+        split = instance_components(inst)
+        leasts = [verts[0] for _, verts in split.pieces]
+        assert leasts == sorted(leasts)
+        scopes = []
+        for piece, verts in split.pieces:
+            assert list(verts) == sorted(set(verts))
+            assert set(link_roots(piece.n, piece.scopes)) == {0}
+            back = [tuple(verts[v] for v in scope) for scope in piece.scopes]
+            depths = [max(pos[v] for v in scope) for scope in back]
+            assert depths == sorted(depths)
+            scopes += back
+        assert sorted(scopes) == sorted(inst.scopes)
+        assert split.isolated == inst.n - len(set(chain.from_iterable(inst.scopes)))
