@@ -170,7 +170,9 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
     length and each key of z's list, with one z swapped for the other
     element, is a nonzero key at a constant ratio. Comparing an element with
     a class representative costs O(|slice| * r) table lookups, and
-    mismatches usually show at the first key.
+    mismatches usually show at the first key. Ratios are compared as
+    integer cross-products of numerators and denominators, with no gcd per
+    key; one Fraction is built for each element that joins a class.
     """
     comp = tuple(sorted(component))
     table = g.weights
@@ -180,7 +182,7 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
         keys = holders[z]
         if len(keys) != len(holders[rep]):
             return None
-        t = None
+        num = den = 0  # the first key's ratio num/den; weights are positive
         for key in keys:
             swapped = list(key)
             swapped.remove(z)
@@ -188,11 +190,14 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
             other = table.get(tuple(sorted(swapped)))
             if other is None:
                 return None
-            if t is None:
-                t = table[key] / other
-            elif table[key] != t * other:
+            w = table[key]
+            n = w.numerator * other.denominator
+            d = w.denominator * other.numerator
+            if not den:
+                num, den = n, d
+            elif n * den != num * d:
                 return None
-        return t
+        return Fraction(num, den)
 
     classes: list[list[int]] = []
     ratio: dict[int, Fraction] = {}
@@ -415,7 +420,8 @@ def reconstruct_group(
     With a designated zero class, dot(a, b) completes (a, b, zero^(r-3));
     then a + b = dot(zero, dot(a, b)), the negation is dot(., dot(zero,
     zero)), and the equation target is dot(zero, zero). Commutativity
-    holds as dots[a][b] and dots[b][a] read the same sorted key. Every
+    holds as dots[a][b] and dots[b][a] read the same sorted key, so the
+    dots take m(m+1)/2 completion lookups, one per pair a <= b. Every
     prefix has one completion (latin_check returned), so dot(a, b) = c
     gives dot(a, c) = b: both complete (a, b, c, zero^(r-3)). Hence
     a + zero = a, via c = dot(a, zero), and a + neg[a] = zero, via
@@ -434,8 +440,10 @@ def reconstruct_group(
     def dot(a: int, b: int) -> int:
         return completion[tuple(sorted((a, b) + pad))]
 
-    zsq = dot(zero, zero)
-    dots = [[dot(a, b) for b in range(m)] for a in range(m)]
+    dots = [[0] * m for _ in range(m)]
+    for a, b in combinations_with_replacement(range(m), 2):
+        dots[a][b] = dots[b][a] = dot(a, b)
+    zsq = dots[zero][zero]
     add = [[dots[zero][dots[a][b]] for b in range(m)] for a in range(m)]
     neg = [dots[a][zsq] for a in range(m)]
     triple = first_nonassociative(add)

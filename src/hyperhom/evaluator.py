@@ -49,10 +49,12 @@ class CapExceeded(RuntimeError):
 
 def resolve_brute_cap(cap: int | None = None) -> int:
     """The cap on the oracle's states: the argument, else the default. 0
-    refuses every brute-force evaluation; a negative value raises
-    ValueError."""
+    refuses every brute-force evaluation; a negative value or one that is
+    not an int (bool included) raises ValueError."""
     if cap is None:
         return DEFAULT_BRUTE_CAP
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise ValueError(f"bad brute-force cap {cap!r}: the cap must be an int")
     if cap < 0:
         raise ValueError(f"bad brute-force cap {cap}: the cap must be at least 0")
     return cap
@@ -279,19 +281,29 @@ class EvalReport:
     isolated: int | None = None
 
     def to_json(self) -> dict:
-        """Machine-readable form: rationals as strings, full breakdown."""
-        out: dict = {"value": format_rational(self.value), "method": self.method}
+        """Machine-readable form: rationals as strings, full breakdown.
+        Each distinct rational is formatted once: on one piece the value,
+        its total and its lambda are often one huge number."""
+        texts: dict[tuple[int, int], str] = {}
+
+        def text(x: Fraction) -> str:
+            key = (x.numerator, x.denominator)
+            if key not in texts:
+                texts[key] = format_rational(x)
+            return texts[key]
+
+        out: dict = {"value": text(self.value), "method": self.method}
         if self.isolated is not None:
             out["isolated_vertices"] = self.isolated
         if self.pieces is not None:
             out["pieces"] = [
                 {
                     "vertices": list(piece.vertices),
-                    "total": format_rational(piece.total),
+                    "total": text(piece.total),
                     "terms": [
                         {
                             "component": list(term.component),
-                            "lambda": format_rational(term.lam),
+                            "lambda": text(term.lam),
                             "homs": term.homs,
                         }
                         for term in piece.terms

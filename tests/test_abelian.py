@@ -370,6 +370,27 @@ def test_sparse_counting_matches_dense_references():
     assert count_solutions_mod(IntMatrix.from_rows([[0, 0]]), [7], 1) == 1
 
 
+def test_count_solutions_ignores_row_and_column_order():
+    """The count of a seeded system in input order, with its rows shuffled
+    together with c, and with its columns permuted, against the Smith form."""
+    rng = random.Random(1991)
+    counts = set()
+    for _ in range(300):
+        d = rng.choice((2, 4, 8, 3, 9, 6, 12))
+        rows, c, ncols = _seeded_system(rng, d)
+        m = IntMatrix.from_rows(rows, cols=ncols)
+        want = count_solutions_mod(m, c, d)
+        assert want == snf_counter(m)(c, d), (rows, c, d)
+        order = rng.sample(range(len(rows)), len(rows))
+        shuffled = IntMatrix.from_rows([rows[i] for i in order], cols=ncols)
+        assert count_solutions_mod(shuffled, [c[i] for i in order], d) == want
+        perm = rng.sample(range(ncols), ncols)
+        permuted = IntMatrix.from_rows([[row[j] for j in perm] for row in rows], cols=ncols)
+        assert count_solutions_mod(permuted, c, d) == want
+        counts.add(min(want, 2))
+    assert counts == {0, 1, 2}
+
+
 def test_count_homs_crt_and_direct_sum_at_scale():
     # a 30000 x 3000 system, beyond what dense matrices could count here
     inst = fx.random_connected_hypergraph(random.Random(3000), 3000, 30000, 3)

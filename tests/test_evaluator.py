@@ -9,12 +9,15 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from hyperhom import fixtures as fx
+from hyperhom import evaluator, fixtures as fx
 from hyperhom.abelian import AbelianGroup
 from hyperhom.dichotomy import classify
 from hyperhom.evaluator import (
     DEFAULT_BRUTE_CAP,
     CapExceeded,
+    EvalReport,
+    PieceBreakdown,
+    TermBreakdown,
     eval_bruteforce,
     eval_tractable,
     evaluate,
@@ -23,6 +26,7 @@ from hyperhom.evaluator import (
     monomial_value,
     resolve_brute_cap,
 )
+from hyperhom.exactcore import format_rational
 from hyperhom.gadgets import component_separator
 from hyperhom.model import CspInstance, Hypergraph, SymFunc, degrees, instance_components, instance_plan
 
@@ -219,6 +223,11 @@ def test_cap_rejects_negative_and_malformed_values():
         eval_bruteforce(fx.parity(), edge, cap=0)
     with pytest.raises(CapExceeded, match="cap 0"):
         eval_bruteforce(fx.parity(), Hypergraph(0, ()), cap=0)  # even one assignment
+    for bad in (1.5, "abc", True):
+        with pytest.raises(ValueError, match="must be an int"):
+            resolve_brute_cap(bad)
+    with pytest.raises(ValueError, match="'abc'"):
+        eval_bruteforce(fx.parity(), edge, cap="abc")
 
 
 def test_lambda_factor_direct_examples():
@@ -347,6 +356,24 @@ def test_eval_tractable_breakdown_and_json():
     json.dumps(blob)
     assert blob["value"] == "5"
     assert blob["pieces"][0]["terms"][0]["homs"] == 4
+
+
+def test_to_json_formats_each_distinct_rational_once(monkeypatch):
+    big = Fraction(7**500, 3)
+    terms = (TermBreakdown((0, 1), big, 1), TermBreakdown((2,), Fraction(0), 0))
+    report = EvalReport(big, "structured", (PieceBreakdown((0, 1, 2), terms, big),), 0)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return format_rational(x)
+
+    monkeypatch.setattr(evaluator, "format_rational", counted)
+    blob = report.to_json()
+    assert sorted(seen) == [0, big]
+    text = format_rational(big)
+    assert (blob["value"], blob["pieces"][0]["total"]) == (text, text)
+    assert [t["lambda"] for t in blob["pieces"][0]["terms"]] == [text, "0"]
 
 
 def test_eval_tractable_methods_agree():

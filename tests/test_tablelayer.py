@@ -246,6 +246,46 @@ def test_sim_classes_match_dense_on_structured_tables():
         assert (sc.classes, sc.ratio) == dense_sim_classes(g, comp)
 
 
+def _huge(rng):
+    return Fraction(rng.randrange(2**64, 2**80), rng.randrange(2**64, 2**80))
+
+
+def test_sim_classes_exact_on_huge_ratios():
+    # g(key) = prod w[z] * h[sum of types mod 3] with type z % 3 and
+    # numerators and denominators above 2^64: elements of one type are
+    # proportional by w[z] / w[z']. Bumping one key by 1/10^30 must split
+    # its elements from their old class-mates, and every table must agree
+    # with the dense slices exactly
+    rng = random.Random(2**64 + 19)
+    split = 0
+    for _ in range(12):
+        q, r = rng.randint(4, 7), rng.choice((3, 4))
+        w = [_huge(rng) for _ in range(q)]
+        h = [_huge(rng), _huge(rng), rng.choice((Fraction(0), _huge(rng)))]
+        weights = {}
+        for key in combinations_with_replacement(range(q), r):
+            v = h[sum(z % 3 for z in key) % 3]
+            for z in key:
+                v *= w[z]
+            if v:
+                weights[key] = v
+        comp = tuple(range(q))
+        g = SymFunc.from_weights(q, r, weights)
+        before = sim_classes(g, comp)
+        assert (before.classes, before.ratio) == dense_sim_classes(g, comp)
+        assert before.classes == tuple(tuple(range(t, q, 3)) for t in range(3))
+        bumped = rng.choice(sorted(weights))
+        weights[bumped] += Fraction(1, 10**30)
+        g = SymFunc.from_weights(q, r, weights)
+        sc = sim_classes(g, comp)
+        assert (sc.classes, sc.ratio) == dense_sim_classes(g, comp)
+        for z in set(bumped):
+            for y in set(before.classes[z % 3]) - {z}:
+                assert not any(z in cls and y in cls for cls in sc.classes), (bumped, z, y)
+                split += 1
+    assert split >= 12
+
+
 def test_structured_family_matches_dense_construction():
     rng = random.Random(8123)
     pool = [(2,), (3,), (2, 2), (4,), (2, 3), (5,), ()]
@@ -317,6 +357,30 @@ def test_latin_and_equation_checks_on_perturbed_relations():
             assert (w is None) == (ev is None) == (a == gs.a)
             if w is not None:
                 assert w.evidence == ev
+
+
+def all_dots_group(completion, r, m, zero):
+    """reconstruct_group's add table and target from all m^2 ordered dots."""
+    pad = (zero,) * (r - 3)
+    dots = [[completion[tuple(sorted((a, b) + pad))] for b in range(m)] for a in range(m)]
+    return [[dots[zero][dots[a][b]] for b in range(m)] for a in range(m)], dots[zero][zero]
+
+
+def test_reconstruct_group_at_arity_four_with_zero_one():
+    # at r = 4 every Latin relation found here is a group's, in many labellings
+    relations = [
+        frozenset(_group_relation(fx.group_from_factors(*f), 4, a))
+        for f in ((2,), (3,), (4,), (2, 2), (5,), (2, 3))
+        for a in (0, 1)
+    ]
+    relations += latin_relations(4, 4, 10**6) + latin_relations(5, 4, 10**6)
+    for relation in relations:
+        m = 1 + max(max(alpha) for alpha in relation)
+        completion = latin_check(relation, 4, m)
+        gs = reconstruct_group(completion, 4, m, zero=1)
+        add, target = all_dots_group(completion, 4, m, 1)
+        assert [list(row) for row in gs.group.add_table] == add
+        assert (gs.a, gs.group.zero) == (target, 1)
 
 
 def _lift_behind_parity(relation: frozenset, m: int, r: int) -> SymFunc:
