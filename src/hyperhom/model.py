@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
-from operator import lt
+from operator import le, lt
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
@@ -253,34 +253,43 @@ def orderings_count(key: Sequence[int]) -> int:
 # file formats
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
+def _content_lines(raw: Sequence[str], start: int = 0) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of raw[start:] that has content,
+    with comments and outer whitespace stripped; line numbers are 1-based."""
+    for lineno, line in enumerate(raw[start:], start + 1):
+        line = line.partition("#")[0].strip()
         if line:
             yield lineno, line
 
 
-def _expect_header(lines: Iterator[tuple[int, str]], expected: str) -> None:
+def _header(raw: Sequence[str], expected: str, keywords: Sequence[str]) -> tuple[int, list[tuple[int, int]]]:
+    """Check the header line and the '<keyword> <int>' line of each keyword
+    after it, in order.
+
+    Returns the index in raw of the line after the last keyword line, and
+    (line number, value) per keyword. A missing keyword line is reported at
+    the line after the last one.
+    """
+    lines = _content_lines(raw)
     try:
         lineno, line = next(lines)
     except StopIteration:
         raise FormatError(1, f"empty file, expected header {expected!r}") from None
     if line != expected:
         raise FormatError(lineno, f"expected header {expected!r}, got {line!r}")
-
-
-def _keyword_int(lines: Iterator[tuple[int, str]], keyword: str) -> int:
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError(0, f"missing '{keyword} <int>' line") from None
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise FormatError(lineno, f"expected '{keyword} <int>', got {line!r}")
-    try:
-        return int(parts[1])
-    except ValueError:
-        raise FormatError(lineno, f"bad integer {parts[1]!r}") from None
+    values = []
+    for keyword in keywords:
+        lineno, line = next(lines, (len(raw) + 1, ""))
+        if not line:
+            raise FormatError(lineno, f"missing '{keyword} <int>' line")
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise FormatError(lineno, f"expected '{keyword} <int>', got {line!r}")
+        try:
+            values.append((lineno, int(parts[1])))
+        except ValueError:
+            raise FormatError(lineno, f"bad integer {parts[1]!r}") from None
+    return lineno, values
 
 
 def _int_tokens(lineno: int, tokens: list[str], what: str) -> tuple[int, ...]:
@@ -294,63 +303,115 @@ def _strictly_increasing(e: tuple[int, ...]) -> bool:
     return all(map(lt, e, e[1:]))
 
 
+_CHUNK = 1024  # weight lines per column pass of load_symfunc
+
+
 def load_symfunc(text: str) -> SymFunc:
     """Parse the `symfunc v1` format.
 
-    O(lines): each distinct element token and weight literal is parsed and
-    checked once per call, keyed by its text. A line whose tokens were all
-    seen before is checked only for arity, order and duplicates. Every line
-    reports the first of its errors in the order '=', element list, length,
-    range, order, literal, sign, duplicate.
+    The body is read in column passes over chunks of _CHUNK lines: one
+    split() per chunk, one int() and range check per distinct element token
+    and one parse per distinct weight literal per call, then C-level order
+    checks and one dict update per chunk. Weights with the same literal
+    share one Fraction. When any check fails, the line loop reruns over the
+    body only to name the first error, in each line's order '=', element
+    list, length, range, order, literal, sign, duplicate.
     """
-    lines = _content_lines(text)
-    _expect_header(lines, "symfunc v1")
-    q = _keyword_int(lines, "q")
-    r = _keyword_int(lines, "r")
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.partition("#")[0] for line in raw]
+    start, ((q_line, q), (r_line, r)) = _header(raw, "symfunc v1", ("q", "r"))
     if q < 1:
-        raise FormatError(2, f"domain size must be positive, got {q}")
+        raise FormatError(q_line, f"domain size must be positive, got {q}")
     if r < 3:
-        raise FormatError(3, f"arity must be at least 3, got {r}")
+        raise FormatError(r_line, f"arity must be at least 3, got {r}")
+    weights = _symfunc_columns(list(filter(str.strip, raw[start:])), q, r)
+    if weights is None:
+        weights = _symfunc_lines(raw, start, q, r)
+    return SymFunc(q, r, weights)
+
+
+def _symfunc_columns(body: list[str], q: int, r: int) -> dict[tuple[int, ...], Fraction] | None:
+    """The nonzero weights of the body lines in file order, or None when
+    a line is malformed, out of range, unsorted, negative or a duplicate.
+
+    Each chunk's lines are joined with a ' ; ' sentinel and split once;
+    every row of r + 3 tokens must read r elements, '=', a weight, ';'. A
+    stray ';' fails the int(), the '=' test or the literal parse, so when
+    the checks pass the rows are the lines.
+    """
+    width = r + 3
+    table: dict[tuple[int, ...], Fraction] = {}
+    elements: dict[str, int] = {}  # token -> element of 0..q-1
+    literals: dict[str, Fraction] = {}  # weight token -> nonnegative weight
+    for i in range(0, len(body), _CHUNK):
+        chunk = body[i:i + _CHUNK]
+        rows = len(chunk)
+        tokens = " ; ".join(chunk).replace("=", " = ").split()
+        tokens.append(";")
+        if (len(tokens) != rows * width or tokens[r::width].count("=") != rows
+                or tokens[r + 2::width].count(";") != rows):
+            return None
+        cols = []
+        for j in range(r):
+            col = tokens[j::width]
+            for tok in set(col).difference(elements):
+                try:
+                    z = int(tok)
+                except ValueError:
+                    return None
+                if z < 0 or z >= q:
+                    return None
+                elements[tok] = z
+            cols.append(list(map(elements.__getitem__, col)))
+        if not all(all(map(le, a, b)) for a, b in zip(cols, cols[1:])):
+            return None
+        col = tokens[r + 1::width]
+        for tok in set(col).difference(literals):
+            try:
+                w = parse_rational(tok)
+            except ValueError:
+                return None
+            if w < 0:
+                return None
+            literals[tok] = w
+        table.update(zip(zip(*cols), map(literals.__getitem__, col)))
+    if len(table) != len(body):
+        return None
+    if all(literals.values()):
+        return table
+    return {key: w for key, w in table.items() if w}
+
+
+def _symfunc_lines(raw: Sequence[str], start: int, q: int, r: int) -> dict[tuple[int, ...], Fraction]:
+    """load_symfunc's line loop over raw[start:]: raises the first line's
+    first error, or returns the nonzero weights in file order."""
     weights: dict[tuple[int, ...], Fraction] = {}
     zeros: set[tuple[int, ...]] = set()
-    elements: dict[str, int] = {}  # token -> element of 0..q-1
-    literals: dict[str, Fraction] = {}  # weight text -> nonnegative weight
-    for lineno, line in lines:
+    for lineno, line in _content_lines(raw, start):
         left, eq, right = line.partition("=")
         if not eq:
             raise FormatError(lineno, f"expected '<z1> .. <zr> = <weight>', got {line!r}")
-        tokens = left.split()
-        try:
-            key = tuple(map(elements.__getitem__, tokens))
-            known = True
-        except KeyError:
-            key = _int_tokens(lineno, tokens, f"element list {left.strip()!r}")
-            known = False
+        key = _int_tokens(lineno, left.split(), f"element list {left.strip()!r}")
         if len(key) != r:
             raise FormatError(lineno, f"key has {len(key)} elements, expected {r}")
-        if not known:
-            if any(z < 0 or z >= q for z in key):
-                raise FormatError(lineno, f"element out of range 0..{q - 1} in {key}")
-            elements.update(zip(tokens, key))
+        if any(z < 0 or z >= q for z in key):
+            raise FormatError(lineno, f"element out of range 0..{q - 1} in {key}")
         if key != tuple(sorted(key)):
             raise FormatError(lineno, f"key {key} is not in non-decreasing order")
-        w = literals.get(right)
-        if w is None:
-            try:
-                w = parse_rational(right.strip())
-            except ValueError as exc:
-                raise FormatError(lineno, str(exc)) from None
-            if w < 0:
-                raise FormatError(lineno, f"negative weight {format_rational(w)}")
-            literals[right] = w
+        try:
+            w = parse_rational(right.strip())
+        except ValueError as exc:
+            raise FormatError(lineno, str(exc)) from None
+        if w < 0:
+            raise FormatError(lineno, f"negative weight {format_rational(w)}")
         if key in weights or key in zeros:
             raise FormatError(lineno, f"duplicate key {key}")
         if w:
             weights[key] = w
         else:
             zeros.add(key)
-    # every line was checked above, so the table needs no second pass
-    return SymFunc(q, r, weights)
+    return weights
 
 
 def dump_symfunc(g: SymFunc) -> str:
@@ -367,16 +428,15 @@ def load_hypergraph(text: str) -> Hypergraph:
     per call, keyed by its text. Every line reports the first of its errors
     in the order 'e', vertex list, empty, order, range, arity, duplicate.
     """
-    lines = _content_lines(text)
-    _expect_header(lines, "hypergraph v1")
-    n = _keyword_int(lines, "n")
+    raw = text.splitlines()
+    start, ((n_line, n),) = _header(raw, "hypergraph v1", ("n",))
     if n < 0:
-        raise FormatError(2, f"vertex count must be nonnegative, got {n}")
+        raise FormatError(n_line, f"vertex count must be nonnegative, got {n}")
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     vertices: dict[str, int] = {}  # token -> vertex of 0..n-1
     arity = None
-    for lineno, line in lines:
+    for lineno, line in _content_lines(raw, start):
         parts = line.split()
         if parts[0] != "e":
             raise FormatError(lineno, f"expected 'e <v1> ..', got {line!r}")
@@ -424,16 +484,15 @@ def load_csp(text: str) -> CspInstance:
     per call, keyed by its text. Every line reports the first of its errors
     in the order variable list, range, keyword, empty scope or pair, arity.
     """
-    lines = _content_lines(text)
-    _expect_header(lines, "csp v1")
-    n = _keyword_int(lines, "n")
+    raw = text.splitlines()
+    start, ((n_line, n),) = _header(raw, "csp v1", ("n",))
     if n < 0:
-        raise FormatError(2, f"variable count must be nonnegative, got {n}")
+        raise FormatError(n_line, f"variable count must be nonnegative, got {n}")
     scopes: list[tuple[int, ...]] = []
     equalities: list[tuple[int, int]] = []
     variables: dict[str, int] = {}  # token -> variable of 0..n-1
     arity = None
-    for lineno, line in lines:
+    for lineno, line in _content_lines(raw, start):
         parts = line.split()
         tokens = parts[1:]
         try:
@@ -469,12 +528,12 @@ def dump_csp(inst: CspInstance) -> str:
 
 def load_instance(text: str) -> Instance:
     """Dispatch on the header line: hypergraph or csp."""
-    for _, line in _content_lines(text):
+    for lineno, line in _content_lines(text.splitlines()):
         if line == "hypergraph v1":
             return load_hypergraph(text)
         if line == "csp v1":
             return load_csp(text)
-        raise FormatError(1, f"unknown instance header {line!r}")
+        raise FormatError(lineno, f"unknown instance header {line!r}")
     raise FormatError(1, "empty file")
 
 

@@ -1,23 +1,31 @@
-"""The memoised text loaders against plain per-line references.
+"""The text loaders against plain per-line references.
 
-The references below parse every token and literal of every line anew, in
-the check order the loaders document. On valid and on corrupted texts both
-must agree: an equal object with the same key order, or the same
-FormatError message and line number.
+The loaders parse each distinct token once per call; load_symfunc checks
+its body in column passes over chunks of lines. The references below parse
+every token and literal of every line anew, in the check order the loaders
+document. On valid and on corrupted texts both must agree: an equal object
+with the same key order, or the same FormatError message and line number.
 """
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperhom import model
 from hyperhom.exactcore import format_rational, parse_rational
+from hyperhom.fixtures import random_table
 from hyperhom.model import (
     CspInstance,
     FormatError,
     Hypergraph,
     SymFunc,
+    dump_symfunc,
     load_csp,
     load_hypergraph,
+    load_instance,
     load_symfunc,
 )
 
@@ -41,16 +49,18 @@ def _ref_expect_header(lines, expected):
         raise FormatError(lineno, f"expected header {expected!r}, got {line!r}")
 
 
-def _ref_keyword_int(lines, keyword):
+def _ref_keyword_int(lines, keyword, text):
+    """(line number, value) of the keyword's line; a missing one is
+    reported at the line after the last line of the text."""
     try:
         lineno, line = next(lines)
     except StopIteration:
-        raise FormatError(0, f"missing '{keyword} <int>' line") from None
+        raise FormatError(len(text.splitlines()) + 1, f"missing '{keyword} <int>' line") from None
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword:
         raise FormatError(lineno, f"expected '{keyword} <int>', got {line!r}")
     try:
-        return int(parts[1])
+        return lineno, int(parts[1])
     except ValueError:
         raise FormatError(lineno, f"bad integer {parts[1]!r}") from None
 
@@ -58,12 +68,12 @@ def _ref_keyword_int(lines, keyword):
 def ref_load_symfunc(text):
     lines = _ref_content_lines(text)
     _ref_expect_header(lines, "symfunc v1")
-    q = _ref_keyword_int(lines, "q")
-    r = _ref_keyword_int(lines, "r")
+    q_line, q = _ref_keyword_int(lines, "q", text)
+    r_line, r = _ref_keyword_int(lines, "r", text)
     if q < 1:
-        raise FormatError(2, f"domain size must be positive, got {q}")
+        raise FormatError(q_line, f"domain size must be positive, got {q}")
     if r < 3:
-        raise FormatError(3, f"arity must be at least 3, got {r}")
+        raise FormatError(r_line, f"arity must be at least 3, got {r}")
     weights, zeros = {}, set()
     for lineno, line in lines:
         if "=" not in line:
@@ -99,9 +109,9 @@ def ref_load_symfunc(text):
 def ref_load_hypergraph(text):
     lines = _ref_content_lines(text)
     _ref_expect_header(lines, "hypergraph v1")
-    n = _ref_keyword_int(lines, "n")
+    n_line, n = _ref_keyword_int(lines, "n", text)
     if n < 0:
-        raise FormatError(2, f"vertex count must be nonnegative, got {n}")
+        raise FormatError(n_line, f"vertex count must be nonnegative, got {n}")
     edges, seen, arity = [], set(), None
     for lineno, line in lines:
         parts = line.split()
@@ -131,9 +141,9 @@ def ref_load_hypergraph(text):
 def ref_load_csp(text):
     lines = _ref_content_lines(text)
     _ref_expect_header(lines, "csp v1")
-    n = _ref_keyword_int(lines, "n")
+    n_line, n = _ref_keyword_int(lines, "n", text)
     if n < 0:
-        raise FormatError(2, f"variable count must be nonnegative, got {n}")
+        raise FormatError(n_line, f"variable count must be nonnegative, got {n}")
     scopes, equalities, arity = [], [], None
     for lineno, line in lines:
         parts = line.split()
@@ -313,6 +323,79 @@ def test_symfunc_loader_agrees_on_listed_corruptions():
             assert_agree(load_symfunc, ref_load_symfunc, head + "\n".join(body) + "\n")
 
 
+@lru_cache(maxsize=None)
+def dense_lines(seed):
+    """The lines of a dumped random q=30, r=4 table: about 28 chunks."""
+    return tuple(dump_symfunc(random_table(Random(seed), 30, 4)).splitlines())
+
+
+def test_symfunc_loader_agrees_on_dense_tables():
+    for seed in (1, 2):
+        lines = dense_lines(seed)
+        assert len(lines) > 20 * model._CHUNK
+        assert assert_agree(load_symfunc, ref_load_symfunc, "\n".join(lines) + "\n") == "ok"
+
+
+def _left(line):
+    return line.partition("=")[0].split()
+
+
+DENSE_CORRUPTIONS = {
+    # name: (what the line at PAST becomes, whether the text stays valid)
+    "bad-token": (lambda lines, line: " ".join(["x7"] + _left(line)[1:]) + " = 1", False),
+    "unsorted": (lambda lines, line: " ".join(_left(line)[::-1]) + " = 1", False),
+    "duplicate-of-line-4": (lambda lines, line: lines[3], False),
+    "semicolon-token": (lambda lines, line: " ".join([";"] + _left(line)[1:]) + " = 1", False),
+    "two-rows-on-a-line": (lambda lines, line: line + " ; " + lines[4], False),
+    "semicolon-for-equals": (lambda lines, line: line.replace(" = ", " ; "), False),
+    "short-key": (lambda lines, line: "1 = 2", False),
+    "no-spaces-around-equals": (lambda lines, line: line.replace(" = ", "="), True),
+    "zero-weight": (lambda lines, line: " ".join(_left(line)) + " = 0", True),
+    "inline-comment": (lambda lines, line: line + " # note = 1", True),
+    "blank-line-before": (lambda lines, line: "  \n" + line, True),
+}
+PAST = 3 + model._CHUNK + 500  # a body line in the second chunk
+
+
+@pytest.mark.parametrize("name", DENSE_CORRUPTIONS)
+def test_symfunc_loader_agrees_on_corrupted_dense_tables(name):
+    corrupt, valid = DENSE_CORRUPTIONS[name]
+    lines = list(dense_lines(1))
+    assert len(set(_left(lines[PAST]))) > 1  # so reversing its key unsorts it
+    lines[PAST] = corrupt(lines, lines[PAST])
+    got = assert_agree(load_symfunc, ref_load_symfunc, "\n".join(lines) + "\n")
+    assert got == ("ok" if valid else "error")
+
+
+def _no_line_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line loop ran on valid text")
+
+    monkeypatch.setattr(model, "_symfunc_lines", refuse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symfunc_lines())
+def test_symfunc_valid_texts_skip_the_line_loop(lines):
+    text = "\n".join(lines) + "\n"
+    want = outcome(ref_load_symfunc, text)
+    with pytest.MonkeyPatch.context() as mp:
+        _no_line_loop(mp)
+        assert outcome(load_symfunc, text) == want
+
+
+def test_symfunc_valid_dense_tables_skip_the_line_loop(monkeypatch):
+    texts = ["\n".join(dense_lines(seed)) + "\n" for seed in (1, 2)]
+    for corrupt, valid in DENSE_CORRUPTIONS.values():
+        if valid:
+            lines = list(dense_lines(1))
+            lines[PAST] = corrupt(lines, lines[PAST])
+            texts.append("\n".join(lines) + "\n")
+    wants = [outcome(ref_load_symfunc, text) for text in texts]
+    _no_line_loop(monkeypatch)
+    assert [outcome(load_symfunc, text) for text in texts] == wants
+
+
 def test_symfunc_negative_weight_past_the_digit_limit_is_a_format_error():
     text = f"symfunc v1\nq 2\nr 3\n0 0 0 = 1\n0 0 1 = -{BIG}\n"
     got = outcome(load_symfunc, text)
@@ -400,3 +483,29 @@ def test_csp_loader_agrees_on_listed_corruptions():
     for bad in bad_lines:
         for body in ([bad], [good, bad], [good, "eq 0 1", bad]):
             assert_agree(load_csp, ref_load_csp, "csp v1\nn 4\n" + "\n".join(body) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# header lines
+
+
+HEADER_ERRORS = {
+    # name: (loader, reference or None, text, line the error names)
+    "symfunc-q": (load_symfunc, ref_load_symfunc, "# a table\n\nsymfunc v1\nq 0\nr 3\n", 4),
+    "symfunc-r": (load_symfunc, ref_load_symfunc, "# a table\n\nsymfunc v1\nq 2\n\nr 2\n", 6),
+    "symfunc-missing-r": (load_symfunc, ref_load_symfunc, "# a table\n\nsymfunc v1\nq 2\n# end\n", 6),
+    "hypergraph-n": (load_hypergraph, ref_load_hypergraph, "# an instance\n\nhypergraph v1\nn -1\n", 4),
+    "hypergraph-missing-n": (load_hypergraph, ref_load_hypergraph, "hypergraph v1\n", 2),
+    "csp-n": (load_csp, ref_load_csp, "# an instance\n\ncsp v1\nn -1\n", 4),
+    "csp-missing-n": (load_csp, ref_load_csp, "csp v1\n\n", 3),
+    "instance-header": (load_instance, None, "# an instance\n\nsymfunc v1\nq 2\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_ERRORS)
+def test_header_errors_name_their_own_line(name):
+    load, ref, text, line = HEADER_ERRORS[name]
+    got = outcome(load, text)
+    assert got[:2] == ("error", line), got
+    if ref is not None:
+        assert outcome(ref, text) == got
