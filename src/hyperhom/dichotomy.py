@@ -154,9 +154,14 @@ class Classification:
     func: SymFunc
     tractable: bool
     kept: tuple[int, ...]
-    removed: tuple[int, ...]
     components: tuple[ComponentStructure, ...]
     witness: HardnessWitness | None
+
+    @property
+    def removed(self) -> tuple[int, ...]:
+        """The elements of 0..q-1 that no nonzero key holds, listed on first
+        read by func.support_index, so an eval never builds them."""
+        return self.func.support_index.removed
 
 
 def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
@@ -533,21 +538,22 @@ def classify(g: SymFunc) -> Classification:
     stages. The first failure becomes the witness; otherwise the
     per-component structures are returned.
 
-    Kept and removed elements and the components come from g.support_index
-    on original ids, as prune_domain and domain_components read them, with
-    no renumbered copy of the table. The index is built on first use, in
-    two passes over the keys, and the stages read it for every component.
+    Kept elements and the components come from g.support_index on
+    original ids, as prune_domain and domain_components read them, with no
+    renumbered copy of the table; removed is listed from it on first read.
+    The index is built on first use, in two passes over the keys, and the
+    stages read it for every component.
     """
     idx = g.support_index
     if not idx.kept:
-        return Classification(g, True, (), idx.removed, (), None)
+        return Classification(g, True, (), (), None)
     out: list[ComponentStructure] = []
     for comp in idx.components:
         res = _classify_component(g, comp)
         if isinstance(res, HardnessWitness):
-            return Classification(g, False, idx.kept, idx.removed, (), res)
+            return Classification(g, False, idx.kept, (), res)
         out.append(res)
-    return Classification(g, True, idx.kept, idx.removed, tuple(out), None)
+    return Classification(g, True, idx.kept, tuple(out), None)
 
 
 def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:

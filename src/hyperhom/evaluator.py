@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .abelian import count_homs
 from .dichotomy import Classification, FactorStructure, classify
 from .exactcore import format_rational
-from .model import CspInstance, Instance, degrees, instance_components, instance_plan
+from .model import Instance, degrees, instance_components, instance_plan
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
@@ -61,10 +61,6 @@ def resolve_brute_cap(cap: int | None = None) -> int:
 
 
 def _check_instance(g_r: int, inst: Instance) -> None:
-    if isinstance(inst, CspInstance) and inst.equalities:
-        raise ValueError(
-            "instance carries equality constraints; eliminate them with the gadget tools first"
-        )
     if inst.scopes and len(inst.scopes[0]) != g_r:
         raise ValueError(f"instance arity {len(inst.scopes[0])} != function arity {g_r}")
 

@@ -26,8 +26,7 @@ from .model import (
     Instance,
     SymFunc,
     degrees,
-    instance_components,
-    link_roots,
+    instance_plan,
     marginalize,
     orderings_count,
 )
@@ -205,15 +204,17 @@ def component_separator(g_instance: Hypergraph, p: int) -> GadgetResult:
     Every vertex i gets, per copy j, a fresh (k-1)-block tied by two edges
     to copy j's and copy (j mod p)+1's image of i. Hom counts through a
     single domain component then scale geometrically in p, which is what
-    the interpolation recovery exploits.
+    the interpolation recovery exploits. The input must be connected with
+    no vertex outside a scope: its plan (instance_plan) is one run over
+    all n vertices.
     """
     if p < 1:
         raise ValueError(f"copy count must be at least 1, got {p}")
     k = g_instance.arity
     if k is None:
         raise ValueError("separator needs at least one edge")
-    split = instance_components(g_instance)
-    if len(split.pieces) != 1 or split.isolated:
+    order, starts, _ = instance_plan(g_instance)
+    if len(starts) != 1 or len(order) != g_instance.n:
         raise ValueError("separator input must be connected")
     n = g_instance.n
     edges = []
@@ -277,8 +278,16 @@ def equality_eliminator(inst: CspInstance, p: int) -> GadgetResult:
 
 
 def contract_equalities(inst: CspInstance) -> tuple[CspInstance, tuple[int, ...]]:
-    """Merge equality-linked variables; returns the instance plus old->new map."""
-    root = link_roots(inst.n, inst.equalities)
+    """Merge equality-linked variables; returns the instance plus old->new map.
+
+    The classes are the runs of the plan of the equalities taken as scopes
+    (instance_plan); a variable in no equality is a class of its own.
+    Classes are numbered by least member."""
+    root = list(range(inst.n))
+    order, starts, _ = instance_plan(CspInstance(inst.n, inst.equalities))
+    for a, b in zip(starts, starts[1:] + [len(order)]):
+        for v in order[a:b]:
+            root[v] = order[a]  # a run starts at its least vertex
     renum = {least: i for i, least in enumerate(sorted(set(root)))}
     var_map = tuple(renum[least] for least in root)
     scopes = tuple(tuple(var_map[v] for v in s) for s in inst.scopes)

@@ -21,13 +21,13 @@ file; constraint lines may repeat (a multiset of scopes).
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from operator import le, lt
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
 
@@ -50,7 +50,6 @@ __all__ = [
     "load_instance",
     "marginalize",
     "prune_domain",
-    "link_roots",
     "domain_components",
     "instance_plan",
     "instance_components",
@@ -123,27 +122,33 @@ class SupportIndex:
 
     holders[z] lists the nonzero keys that hold z, each once, in table
     order. kept holds the elements that occur in some key (with
-    nonnegative weights, those with positive unary marginal), removed the
-    rest of 0..q-1, and components the connected components of the
-    co-occurrence relation on kept, each ascending, sorted by least
-    element; all on original ids.
+    nonnegative weights, those with positive unary marginal), and
+    components the connected components of the co-occurrence relation on
+    kept, each ascending, sorted by least element; all on original ids.
+    removed, the rest of 0..q-1, is listed on first read only, in O(q):
+    classify's report reads it, an eval never does.
 
-    Costs two passes over the keys, O(|support| * r): one lists the
-    elements, one files each key under them. The components come from a
+    Costs two passes over the keys, O(|support| * r), whatever q: one lists
+    the elements, one files each key under them. The components come from a
     search that reads each element's holders at most once, in C loops
     (O(|support| * r^2) element visits at most), and stops as soon as every
     kept element is placed, so one dense component reads a single element's
     keys. Memory: at most r references per key. sim_classes and
     check_product_structure read the holders; prune_domain,
-    domain_components, classify and replay_witness read kept, removed and
-    the components; so a table is scanned once however many components it
-    has.
+    domain_components, classify and replay_witness read kept and the
+    components; so a table is scanned once however many components it has.
     """
 
+    q: int
     holders: Mapping[int, list[tuple[int, ...]]]
     kept: tuple[int, ...]
-    removed: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def removed(self) -> tuple[int, ...]:
+        if len(self.kept) == self.q:
+            return ()
+        return tuple(z for z in range(self.q) if z not in self.holders)
 
     @staticmethod
     def of(g: SymFunc) -> "SupportIndex":
@@ -155,10 +160,6 @@ class SupportIndex:
                 if z != prev:
                     holders[z].append(key)
                     prev = z
-        if len(elements) == g.q:
-            removed: tuple[int, ...] = ()
-        else:
-            removed = tuple(z for z in range(g.q) if z not in holders)
         # two elements co-occur exactly when some nonzero key holds both
         unplaced = set(elements)
         components = []
@@ -173,7 +174,7 @@ class SupportIndex:
                 comp += reached
                 frontier += reached
             components.append(tuple(sorted(comp)))
-        return SupportIndex(holders, tuple(elements), removed, tuple(components))
+        return SupportIndex(g.q, holders, tuple(elements), tuple(components))
 
 
 @dataclass(frozen=True)
@@ -597,30 +598,6 @@ def prune_domain(g: SymFunc) -> PruneResult:
     return PruneResult(out, kept, removed)
 
 
-def link_roots(n: int, links: Iterable[Sequence[int]]) -> list[int]:
-    """Least class member of each of 0..n-1 under the classes the links join.
-
-    Each link is a non-empty sequence of elements put into one class;
-    union-find with the smaller root kept on every merge.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for link in links:
-        base = find(link[0])
-        for v in link[1:]:
-            root = find(v)
-            if root != base:
-                base, other = min(base, root), max(base, root)
-                parent[other] = base
-    return [find(x) for x in range(n)]
-
-
 def domain_components(g: SymFunc) -> tuple[tuple[int, ...], ...]:
     """Connected components of the binary co-occurrence relation.
 
@@ -636,9 +613,10 @@ def domain_components(g: SymFunc) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class InstanceComponents:
-    """Connected pieces of an instance plus the count of scope-free vertices.
+    """Connected pieces of an instance plus the count of vertices in no scope.
 
-    Each piece is (sub-instance, vertices) with vertices[new_id] = old_id.
+    Each piece is (sub-instance, vertices) with vertices[new_id] = old_id;
+    every piece holds a scope.
     """
 
     pieces: tuple[tuple[Instance, tuple[int, ...]], ...]
@@ -655,31 +633,36 @@ def degrees(inst: Instance) -> tuple[int, ...]:
 
 
 def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple[int, ...]]]]:
-    """Vertex order by one breadth-first queue, the depth at which each
-    connected piece begins, and, per depth, the scopes (as position tuples)
-    that become fully assigned there.
+    """Order of the vertices in scopes by one breadth-first queue, the depth
+    at which each connected piece begins, and, per depth, the scopes (as
+    position tuples) that become fully assigned there.
 
     Each piece starts at its least vertex not yet entered, so the pieces
-    come in order of least vertex, and a vertex in no scope is a piece of
-    its own. When a vertex enters, every member of its scopes that has not
-    entered joins the back of the queue, except the one member a scope
-    still lacks, which jumps to the front, so that scope completes next. A
-    popped vertex that has already entered is skipped. Cost O(n + sum of
-    scope sizes squared).
+    come in order of least vertex. A vertex in no scope never enters: it
+    only multiplies Z by the domain size. When a vertex enters, every
+    member of its scopes that has not entered joins the back of the queue,
+    except the one member a scope still lacks, which jumps to the front, so
+    that scope completes next. A popped vertex that has already entered is
+    skipped. Cost O(sum of scope sizes squared) and a sort of the vertices
+    in scopes, plus one flag byte per vertex of 0..n-1. A CspInstance carrying equality constraints is
+    refused with ValueError, so every evaluation refuses it here.
     """
-    n = inst.n
+    if isinstance(inst, CspInstance) and inst.equalities:
+        raise ValueError(
+            "instance carries equality constraints; eliminate them with the gadget tools first"
+        )
     scopes = inst.scopes
     members = [tuple(set(scope)) for scope in scopes]
-    touching: list[list[int]] = [[] for _ in range(n)]
+    touching: defaultdict[int, list[int]] = defaultdict(list)
     for si, scope in enumerate(members):
         for v in scope:
             touching[v].append(si)
     lacking = [len(scope) for scope in members]
-    entered = [False] * n
+    entered = bytearray(inst.n)
     order: list[int] = []
     starts: list[int] = []
     queue: deque[int] = deque()
-    for start in range(n):
+    for start in sorted(touching):
         if entered[start]:
             continue
         starts.append(len(order))
@@ -688,7 +671,7 @@ def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple
             v = queue.popleft()
             if entered[v]:
                 continue
-            entered[v] = True
+            entered[v] = 1
             order.append(v)
             for si in touching[v]:
                 lacking[si] -= 1
@@ -697,7 +680,7 @@ def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple
                     if not entered[u]:
                         push(u)
     pos = {v: i for i, v in enumerate(order)}
-    completing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    completing: list[list[tuple[int, ...]]] = [[] for _ in order]
     for scope in scopes:
         positions = tuple(pos[v] for v in scope)
         completing[max(positions)].append(positions)
@@ -705,27 +688,13 @@ def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple
 
 
 def instance_components(inst: Instance) -> InstanceComponents:
-    """The pieces of an instance are the runs of its plan (instance_plan)
-    that complete a scope: vertices ascending, scopes in the order the plan
-    completes them, so the counter eliminates along the walk. The other
-    runs are the vertices in no scope. An equality must join two vertices
-    of one piece, else ValueError."""
+    """The pieces of an instance are the runs of its plan (instance_plan):
+    vertices ascending, scopes in the order the plan completes them, so the
+    counter eliminates along the walk. isolated counts the vertices the
+    plan never enters, those in no scope."""
     order, starts, completing = instance_plan(inst)
-    runs = []
-    piece_of = [-1] * inst.n  # -1 for a vertex in no scope
-    for a, b in zip(starts, starts[1:] + [inst.n]):
-        if any(completing[a:b]):
-            for v in order[a:b]:
-                piece_of[v] = len(runs)
-            runs.append((a, b))
-    equalities: list[list[tuple[int, int]]] = [[] for _ in runs]
-    if isinstance(inst, CspInstance):
-        for u, w in inst.equalities:
-            if piece_of[u] != piece_of[w] or piece_of[u] < 0:
-                raise ValueError(f"equality ({u}, {w}) does not stay inside one component")
-            equalities[piece_of[u]].append((u, w))
     pieces = []
-    for (a, b), eqs in zip(runs, equalities):
+    for a, b in zip(starts, starts[1:] + [len(order)]):
         verts = tuple(sorted(order[a:b]))
         renum = {old: new for new, old in enumerate(verts)}
         scopes = tuple(
@@ -736,6 +705,6 @@ def instance_components(inst: Instance) -> InstanceComponents:
         if isinstance(inst, Hypergraph):
             piece: Instance = Hypergraph(len(verts), scopes)
         else:
-            piece = CspInstance(len(verts), scopes, tuple((renum[u], renum[w]) for u, w in eqs))
+            piece = CspInstance(len(verts), scopes)
         pieces.append((piece, verts))
-    return InstanceComponents(tuple(pieces), len(starts) - len(runs))
+    return InstanceComponents(tuple(pieces), inst.n - len(order))

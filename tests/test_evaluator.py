@@ -5,7 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 
@@ -105,7 +105,7 @@ def test_plan_orders_pieces_contiguously_and_completes_each_scope_once():
         if rng.random() < 0.5:
             inst = _shuffled_union(rng, inst, make(rng, n_max, m_max, r))
         order, _, completing = instance_plan(inst)
-        assert sorted(order) == list(range(inst.n))
+        assert sorted(order) == sorted(set(chain.from_iterable(inst.scopes)))
         pos = {v: i for i, v in enumerate(order)}
         placed = sorted((d, positions) for d, level in enumerate(completing) for positions in level)
         scopes = [tuple(pos[v] for v in scope) for scope in inst.scopes]
@@ -119,10 +119,22 @@ def test_plan_orders_pieces_contiguously_and_completes_each_scope_once():
 
 
 def test_plan_scales_to_sparse_instances():
+    """One edge among 3*10^6 vertices: the walk, the oracle and the
+    structured path touch only the edge's vertices; the rest multiply Z by
+    q = 1 outside every state and every piece."""
+    sparse = Hypergraph(3_000_000, ((0, 1, 2),))
     started = time.perf_counter()
-    order, _, _ = instance_plan(Hypergraph(3000, ((0, 1, 2),)))
+    order, starts, _ = instance_plan(sparse)
     assert time.perf_counter() - started < 1.0
-    assert order[:3] == [0, 1, 2] and sorted(order) == list(range(3000))
+    assert (order, starts) == ([0, 1, 2], [0])
+    one = SymFunc.from_weights(1, 3, {(0, 0, 0): Fraction(3, 2)})
+    for run in (lambda: eval_bruteforce(one, sparse), lambda: evaluate(one, sparse, "structured")[0].value):
+        started = time.perf_counter()
+        assert run() == Fraction(3, 2)
+        assert time.perf_counter() - started < 1.0
+    assert instance_components(sparse).isolated == 2_999_997
+    with pytest.raises(ValueError, match="connected"):
+        component_separator(sparse, 1)
 
 
 def _complete(n):
@@ -435,17 +447,19 @@ def test_evaluate_structured_dp():
 
 
 def _reference_bruteforce(g, inst):
-    """DFS over all q^n assignments in `instance_plan` order, with sorted-tuple table
-    lookups and pruning at a partial product's first zero. It shares only
-    the plan with eval_bruteforce, which sums over a frontier instead."""
+    """DFS over all assignments of the vertices in scopes, in `instance_plan`
+    order, with sorted-tuple table lookups and pruning at a partial
+    product's first zero; each vertex in no scope multiplies Z by q. It
+    shares only the plan with eval_bruteforce, which sums over a frontier
+    instead."""
     n, q = inst.n, g.q
     if not inst.scopes:
         return Fraction(q) ** n
     scale = math.lcm(*(w.denominator for w in g.weights.values()))
     table = {key: int(w * scale) for key, w in g.weights.items()}
-    _, _, completing = instance_plan(inst)
-    sigma, weights = [-1] * n, [1] * n
-    total, last, depth = 0, n - 1, 0
+    order, _, completing = instance_plan(inst)
+    sigma, weights = [-1] * len(order), [1] * len(order)
+    total, last, depth = 0, len(order) - 1, 0
     while depth >= 0:
         value = sigma[depth] + 1
         if value == q:
@@ -467,7 +481,7 @@ def _reference_bruteforce(g, inst):
         else:
             depth += 1
             weights[depth] = w
-    return Fraction(total, scale ** len(inst.scopes))
+    return Fraction(total * q ** (n - len(order)), scale ** len(inst.scopes))
 
 
 def _reference_monomial_dp(fs, inst):

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import pytest
 
@@ -28,6 +28,7 @@ from hyperhom.gadgets import (
     vertex_power,
 )
 from hyperhom.model import CspInstance, Hypergraph, SymFunc, marginalize, orderings_count
+from test_model import link_roots
 
 EDGE3 = Hypergraph(3, ((0, 1, 2),))
 TRIANGLE = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
@@ -331,6 +332,37 @@ def test_contract_equalities():
     assert vmap[0] == vmap[1] == vmap[3]
     assert out.equalities == ()
     assert len(out.scopes) == 1
+
+
+def test_contract_equalities_matches_union_find():
+    """The classes are those of a union-find over the equalities, numbered by
+    least member, on CSPs with self-pairs (u, u), repeated pairs, no
+    equalities and variables in no equality."""
+    rng = random.Random(2121)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        if pairs and rng.random() < 0.3:
+            u = rng.randrange(n)
+            pairs.append((u, u))
+        if pairs and rng.random() < 0.3:
+            pairs += rng.sample(pairs, rng.randint(1, len(pairs)))
+        rng.shuffle(pairs)
+        scopes = tuple(tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 4)))
+        out, vmap = contract_equalities(CspInstance(n, scopes, tuple(pairs)))
+        root = link_roots(n, pairs)
+        leasts = sorted(set(root))
+        assert vmap == tuple(leasts.index(least) for least in root)
+        assert out.n == len(leasts) and out.equalities == ()
+        assert out.scopes == tuple(tuple(vmap[v] for v in s) for s in scopes)
+        seen.add((
+            any(u == w for u, w in pairs),
+            len(set(pairs)) < len(pairs),
+            not pairs,
+            len(set(chain.from_iterable(pairs))) < n,
+        ))
+    assert {feature for key in seen for feature, on in enumerate(key) if on} == {0, 1, 2, 3}
 
 
 def test_relation_to_symfunc():

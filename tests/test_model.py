@@ -20,7 +20,6 @@ from hyperhom.model import (
     dump_symfunc,
     instance_components,
     instance_plan,
-    link_roots,
     load_csp,
     load_hypergraph,
     load_instance,
@@ -30,6 +29,28 @@ from hyperhom.model import (
     prune_domain,
 )
 from test_evaluator import _shuffled_union
+
+
+def link_roots(n, links):
+    """Least class member of each of 0..n-1 under the classes the links join:
+    a union-find that keeps the smaller root on every merge. The independent
+    connectivity reference of the tests; the library has no union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for link in links:
+        base = find(link[0])
+        for v in link[1:]:
+            root = find(v)
+            if root != base:
+                base, other = min(base, root), max(base, root)
+                parent[other] = base
+    return [find(x) for x in range(n)]
 
 
 def test_symfunc_validation():
@@ -192,12 +213,6 @@ def test_domain_components():
         domain_components(SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1)}))
 
 
-def test_link_roots_least_member():
-    links = [(4, 5), (3, 5), (6, 1), (1, 3), (2,)]
-    assert link_roots(7, links) == [0, 1, 2, 1, 1, 1, 1]
-    assert link_roots(3, []) == [0, 1, 2]
-
-
 def test_degrees():
     g = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
     assert degrees(g) == (1, 1, 2, 1, 1)
@@ -219,17 +234,15 @@ def test_instance_components():
 
 
 def test_instance_components_csp_equality_spanning():
-    ok = CspInstance(4, ((0, 1, 2),), ((0, 1),))
-    comps = instance_components(ok)
-    assert comps.isolated == 1
-    bad = CspInstance(4, ((0, 1, 2),), ((0, 3),))
-    with pytest.raises(ValueError):
-        instance_components(bad)
-    across = CspInstance(6, ((3, 4, 5), (0, 1, 2)), ((4, 5), (2, 3)))
-    with pytest.raises(ValueError):
-        instance_components(across)
-    within = instance_components(CspInstance(6, ((3, 4, 5), (0, 1, 2)), ((5, 3),)))
-    assert [piece.equalities for piece, _ in within.pieces] == [(), ((2, 0),)]
+    """Equalities never reach a piece: the plan refuses every instance that
+    carries one, with the message eval gives, wherever the pair lies."""
+    ok = instance_components(CspInstance(4, ((0, 1, 2),)))
+    assert ok.isolated == 1 and len(ok.pieces) == 1
+    for eqs in (((0, 1),), ((0, 3),), ((4, 5), (2, 3)), ((5, 3),), ((1, 1),)):
+        inst = CspInstance(6, ((3, 4, 5), (0, 1, 2)), eqs)
+        for walk in (instance_plan, instance_components):
+            with pytest.raises(ValueError, match="equality constraints"):
+                walk(inst)
 
 
 def test_instance_components_are_the_plan_runs():

@@ -9,6 +9,7 @@ removed, components, structures and witness.
 """
 
 import random
+import time
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ from hyperhom.dichotomy import (
     replay_witness,
 )
 from hyperhom.exactcore import format_rational
-from hyperhom.model import SymFunc, domain_components, link_roots, prune_domain
+from hyperhom.evaluator import evaluate
+from hyperhom.model import Hypergraph, SymFunc, domain_components, prune_domain
+from test_model import link_roots
 
 # ---------------------------------------------------------------------------
 # the rescanning pipeline, kept as the reference
@@ -354,3 +357,14 @@ def test_support_index_edge_cases():
     idx = loop.support_index
     assert idx.holders[2] == [(0, 2, 2)]
     assert idx.components == ((0, 2), (1,), (3,))
+
+
+def test_removed_is_listed_on_first_read_only():
+    """An eval under a q = 10^7 table with one nonzero key never lists the
+    other 10^7 - 1 elements."""
+    huge = SymFunc.from_weights(10**7, 3, {(0, 0, 0): Fraction(5, 2)})
+    started = time.perf_counter()
+    report, cls = evaluate(huge, Hypergraph(3, ((0, 1, 2),)))
+    assert time.perf_counter() - started < 1.0
+    assert report.value == Fraction(5, 2) and cls.tractable and cls.kept == (0,)
+    assert "removed" not in huge.support_index.__dict__

@@ -28,7 +28,8 @@ from hyperhom.dichotomy import (
 )
 from hyperhom.exactcore import format_rational
 from hyperhom.gadgets import relation_to_symfunc
-from hyperhom.model import SymFunc, link_roots, marginalize
+from hyperhom.model import SymFunc, marginalize
+from test_model import link_roots
 
 # ---------------------------------------------------------------------------
 # dense references
