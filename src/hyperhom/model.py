@@ -25,8 +25,8 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
-from operator import le, lt
+from itertools import chain, combinations, compress, repeat
+from operator import attrgetter, itemgetter, le, lt
 from typing import Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
@@ -80,24 +80,23 @@ class SymFunc:
 
     @staticmethod
     def from_weights(q: int, r: int, weights: Mapping[Sequence[int], Fraction | int]) -> "SymFunc":
+        """Check a table and keep its nonzero weights in the mapping's order.
+
+        Each key becomes the sorted tuple of int() of its elements; it must
+        have r elements in 0..q-1, and no nonzero key may sort like another
+        key. Each weight becomes a Fraction (one that is exactly a Fraction
+        is kept as given) and must be nonnegative. The checks run in column
+        passes (_weights_columns); when one fails or a conversion raises,
+        the key loop (_weights_loop) runs to raise the first key's first
+        error, or to keep a table whose only repeats have zero weight.
+        """
         if q < 1:
             raise ValueError(f"domain size must be positive, got {q}")
         if r < 3:
             raise ValueError(f"arity must be at least 3, got {r}")
-        table: dict[tuple[int, ...], Fraction] = {}
-        for key, w in weights.items():
-            k = tuple(sorted(int(z) for z in key))
-            if len(k) != r:
-                raise ValueError(f"key {k} has arity {len(k)}, expected {r}")
-            if any(z < 0 or z >= q for z in k):
-                raise ValueError(f"key {k} out of domain range 0..{q - 1}")
-            w = Fraction(w)
-            if w < 0:
-                raise ValueError(f"negative weight {w} at {k}")
-            if k in table:
-                raise ValueError(f"duplicate key {k}")
-            if w != 0:
-                table[k] = w
+        table = _weights_columns(q, r, weights)
+        if table is None:
+            table = _weights_loop(q, r, weights)
         return SymFunc(q, r, table)
 
     def value(self, key: Sequence[int]) -> Fraction:
@@ -114,6 +113,65 @@ class SymFunc:
 
 
 _ZERO = Fraction(0)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _weights_columns(
+    q: int, r: int, weights: Mapping[Sequence[int], Fraction | int]
+) -> dict[tuple[int, ...], Fraction] | None:
+    """The nonzero weights in the mapping's order, or None when a key or
+    weight fails a check or its conversion raises.
+
+    C-level maps build the sorted int keys, and only weights that are not
+    exactly Fractions are converted. One set of key lengths, the least
+    first and the greatest last element check arity and range; the least
+    numerator checks the sign; one dict of all keys finds repeats by its
+    size; one pass drops the zero weights.
+    """
+    try:
+        keys = list(map(tuple, map(sorted, map(map, repeat(int), weights))))
+        ws = [w if type(w) is Fraction else Fraction(w) for w in weights.values()]
+    except Exception:  # _weights_loop raises it again, after any earlier key's error
+        return None
+    if set(map(len, keys)) - {r}:
+        return None
+    if min(map(itemgetter(0), keys), default=0) < 0 or max(map(itemgetter(-1), keys), default=0) >= q:
+        return None
+    nums = list(map(_numerator, ws))
+    if min(nums, default=0) < 0:
+        return None
+    table = dict(zip(keys, ws))
+    if len(table) != len(keys):
+        return None
+    if all(nums):
+        return table
+    return dict(compress(zip(keys, ws), nums))
+
+
+def _weights_loop(
+    q: int, r: int, weights: Mapping[Sequence[int], Fraction | int]
+) -> dict[tuple[int, ...], Fraction]:
+    """from_weights' key loop: raises the first key's first error, in the
+    order element conversion, arity, range, weight conversion, sign,
+    duplicate, or returns the nonzero weights in the mapping's order. A
+    zero weight claims no key, so a key may repeat one of zero weight
+    that comes before it, and only its nonzero weight is kept."""
+    table: dict[tuple[int, ...], Fraction] = {}
+    for key, w in weights.items():
+        k = tuple(sorted(int(z) for z in key))
+        if len(k) != r:
+            raise ValueError(f"key {k} has arity {len(k)}, expected {r}")
+        if any(z < 0 or z >= q for z in k):
+            raise ValueError(f"key {k} out of domain range 0..{q - 1}")
+        w = Fraction(w)
+        if w < 0:
+            raise ValueError(f"negative weight {w} at {k}")
+        if k in table:
+            raise ValueError(f"duplicate key {k}")
+        if w != 0:
+            table[k] = w
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,9 +474,26 @@ def _symfunc_lines(raw: Sequence[str], start: int, q: int, r: int) -> dict[tuple
 
 
 def dump_symfunc(g: SymFunc) -> str:
+    """The `symfunc v1` text of g: one line per nonzero weight, keys sorted.
+
+    A table load_symfunc would refuse (an empty domain, arity below 3)
+    raises ValueError. Each distinct element and each distinct weight is
+    formatted once; weights are told apart by (numerator, denominator),
+    whose hash is C-level, unlike a Fraction's.
+    """
+    if g.q < 1:
+        raise ValueError(f"domain size {g.q}: tables on an empty domain have no file form")
+    if g.r < 3:
+        raise ValueError(f"arity {g.r}: tables of arity below 3 have no file form")
+    keys = sorted(g.weights)
+    ws = list(map(g.weights.__getitem__, keys))
+    nums, dens = list(map(_numerator, ws)), list(map(_denominator, ws))
+    weight_texts = {pair: format_rational(Fraction(*pair)) for pair in set(zip(nums, dens))}
+    names = {z: str(z) for z in set(chain.from_iterable(keys))}
+    fields = [map(names.__getitem__, map(itemgetter(i), keys)) for i in range(g.r)]
+    fields += [repeat("="), map(weight_texts.__getitem__, zip(nums, dens))]
     out = ["symfunc v1", f"q {g.q}", f"r {g.r}"]
-    for key in sorted(g.weights):
-        out.append(" ".join(map(str, key)) + " = " + format_rational(g.weights[key]))
+    out += map(" ".join, zip(*fields))
     return "\n".join(out) + "\n"
 
 

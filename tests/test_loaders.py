@@ -7,6 +7,7 @@ document. On valid and on corrupted texts both must agree: an equal object
 with the same key order, or the same FormatError message and line number.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from random import Random
@@ -509,3 +510,29 @@ def test_header_errors_name_their_own_line(name):
     assert got[:2] == ("error", line), got
     if ref is not None:
         assert outcome(ref, text) == got
+
+
+# ---------------------------------------------------------------------------
+# the token grammars README states
+
+
+def test_integer_tokens_are_what_int_accepts():
+    # a sign, underscores, leading zeros and any Unicode decimal digits
+    g = load_symfunc("symfunc v1\nq 1_1\nr +3\n０ ٣ 007 = 1\n+0 0 1_0 = 2\n")
+    assert (g.q, g.r, dict(g.weights)) == (11, 3, {(0, 3, 7): 1, (0, 0, 10): 2})
+    assert load_hypergraph("hypergraph v1\nn ３\ne +0 ١ 0_2\n") == Hypergraph(3, ((0, 1, 2),))
+    assert load_csp("csp v1\nn 0_3\nc ２ +0 ٢\n") == CspInstance(3, ((2, 0, 2),))
+    with pytest.raises(FormatError, match="bad element list '0 0 0x1'"):
+        load_symfunc("symfunc v1\nq 2\nr 3\n0 0 0x1 = 1\n")
+    with pytest.raises(FormatError, match="bad integer '2.0'"):
+        load_symfunc("symfunc v1\nq 2.0\nr 3\n")
+
+
+def test_weight_literals_are_signed_digits_over_digits():
+    # -?digits[/digits], Unicode decimal digits included
+    g = load_symfunc("symfunc v1\nq 2\nr 3\n0 0 0 = ١/٢\n0 0 1 = 007\n0 1 1 = -0\n")
+    assert dict(g.weights) == {(0, 0, 0): Fraction(1, 2), (0, 0, 1): 7}
+    for literal in ("+1", "1_0", "1.0", "1e3", "1 / 2"):
+        with pytest.raises(FormatError) as err:
+            load_symfunc(f"symfunc v1\nq 2\nr 3\n0 0 0 = {literal}\n")
+        assert str(err.value) == f"line 4: not a rational literal: {literal!r}"
