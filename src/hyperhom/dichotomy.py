@@ -125,9 +125,6 @@ class FactorStructure:
     def reps(self) -> tuple[int, ...]:
         return tuple(min(cls) for cls in self.classes)
 
-    def element(self, cls: int, index: int) -> int:
-        return self.classes[cls][index]
-
 
 @dataclass(frozen=True, eq=False)
 class GroupStructure:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .abelian import count_homs
 from .dichotomy import Classification, FactorStructure, classify
@@ -30,7 +30,6 @@ __all__ = [
     "resolve_brute_cap",
     "eval_bruteforce",
     "lambda_factor_direct",
-    "MonomialTally",
     "lambda_monomial_dp",
     "monomial_value",
     "TermBreakdown",
@@ -156,30 +155,19 @@ def lambda_factor_direct(fs: FactorStructure, degs: Sequence[int], m_count: int)
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialTally:
-    """Exponent-vector histogram of index assignments.
-
-    coeff[(M_1..M_s)] counts assignments of indices to vertices whose
-    degree-weighted index loads are exactly M_i; vectors sum to rM and
-    coefficients sum to s^n.
-    """
-
-    s: int
-    rM: int
-    coeff: Mapping[tuple[int, ...], int]
-
-
-def lambda_monomial_dp(fs: FactorStructure, inst: Instance) -> tuple[MonomialTally, Fraction]:
+def lambda_monomial_dp(
+    fs: FactorStructure, inst: Instance
+) -> tuple[dict[tuple[int, ...], int], Fraction]:
     """Degree factor as a sum over exponent vectors.
 
     Walks the vertices, giving each one index and adding its degree to
     that index's load. A state holds the loads of the first s-1 indices
     (the last is forced by the total rM) as one int in mixed radix
     W = rM + 1, load i at W**i, so a vertex of degree d adds d * W**i.
-    Each final state is decoded once into the tally, which counts the
-    index assignments per exponent vector. The value sums count times
-    C^M * prod_i mu[i]^M_i over the tally in integers, over the common
+    Each final state is decoded once into coeff, which maps each exponent
+    vector (M_1..M_s), in sorted order, to its count of index assignments; the
+    vectors sum to rM and the counts to s^n. The value sums count times
+    C^M * prod_i mu[i]^M_i over coeff in integers, over the common
     denominator prod_i b_i^(rM) where mu[i] = a_i/b_i, and makes one
     Fraction at the end. It never forms the per-vertex product, so it is
     computed independently of, and must equal, lambda_factor_direct.
@@ -221,7 +209,7 @@ def lambda_monomial_dp(fs: FactorStructure, inst: Instance) -> tuple[MonomialTal
         numerator += term
     denominator = math.prod(b for _, b in ratios) ** total
     value = fs.constant**m_count * Fraction(numerator, denominator)
-    return MonomialTally(s, total, dict(vectors)), value
+    return dict(vectors), value
 
 
 def monomial_value(fs: FactorStructure, mvec: Sequence[int]) -> Fraction:
@@ -254,10 +242,6 @@ class TermBreakdown:
     component: tuple[int, ...]
     lam: Fraction
     homs: int
-
-    @property
-    def product(self) -> Fraction:
-        return self.lam * self.homs
 
 
 @dataclass(frozen=True, eq=False)

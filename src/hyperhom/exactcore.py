@@ -83,18 +83,6 @@ class IntMatrix:
             raise ValueError(f"expected {cols} columns, rows have {width}")
         return IntMatrix(len(data), width, data)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(m: int, n: int) -> "IntMatrix":
-        return IntMatrix(m, n, tuple((0,) * n for _ in range(m)))
-
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        i, j = pos
-        return self.entries[i][j]
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

@@ -154,7 +154,6 @@ def mixed_skewed() -> SymFunc:
     Classes survive with equal sizes but their normalized ratio multisets
     differ, so classification must report RatioMultisetMismatch.
     """
-    group = AbelianGroup.cyclic(2)
     weights: dict[tuple[int, ...], Fraction] = {}
     per_element = {0: Fraction(1), 1: Fraction(3), 2: Fraction(1), 3: Fraction(5)}
     for key in combinations_with_replacement(range(4), 3):
@@ -254,8 +253,8 @@ _GROUP_POOL: dict[int, list[tuple[int, ...]]] = {
 }
 
 
-def _random_rational(rng: random.Random, lo: int = 1, hi: int = 9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 9), rng.randint(1, 4))
 
 
 def random_tractable(rng: random.Random, q: int, r: int = 3) -> SymFunc:

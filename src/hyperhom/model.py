@@ -102,9 +102,6 @@ class SymFunc:
     def value(self, key: Sequence[int]) -> Fraction:
         return self.weights.get(tuple(sorted(key)), _ZERO)
 
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.weights)
-
     @cached_property
     def support_index(self) -> "SupportIndex":
         """The table's SupportIndex, built on first use and kept: weights
@@ -661,10 +658,6 @@ def prune_domain(g: SymFunc) -> PruneResult:
     is held by one and none is left to prune."""
     idx = g.support_index
     kept, removed = idx.kept, idx.removed
-    if not removed:
-        return PruneResult(g, kept, removed)
-    if not kept:
-        return PruneResult(SymFunc(0, g.r, {}), kept, removed)
     # the renumbering is increasing, so renumbered keys stay sorted
     renum = {old: new for new, old in enumerate(kept)}
     out = SymFunc(
@@ -719,8 +712,9 @@ def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple
     except the one member a scope still lacks, which jumps to the front, so
     that scope completes next. A popped vertex that has already entered is
     skipped. Cost O(sum of scope sizes squared) and a sort of the vertices
-    in scopes, plus one flag byte per vertex of 0..n-1. A CspInstance carrying equality constraints is
-    refused with ValueError, so every evaluation refuses it here.
+    in scopes; nothing is kept per vertex in no scope, so n may be any
+    size. A CspInstance carrying equality constraints is refused with
+    ValueError, so every evaluation refuses it here.
     """
     if isinstance(inst, CspInstance) and inst.equalities:
         raise ValueError(
@@ -733,28 +727,27 @@ def instance_plan(inst: Instance) -> tuple[list[int], list[int], list[list[tuple
         for v in scope:
             touching[v].append(si)
     lacking = [len(scope) for scope in members]
-    entered = bytearray(inst.n)
+    pos: dict[int, int] = {}
     order: list[int] = []
     starts: list[int] = []
     queue: deque[int] = deque()
     for start in sorted(touching):
-        if entered[start]:
+        if start in pos:
             continue
         starts.append(len(order))
         queue.append(start)
         while queue:
             v = queue.popleft()
-            if entered[v]:
+            if v in pos:
                 continue
-            entered[v] = 1
+            pos[v] = len(order)
             order.append(v)
             for si in touching[v]:
                 lacking[si] -= 1
                 push = queue.appendleft if lacking[si] == 1 else queue.append
                 for u in members[si]:
-                    if not entered[u]:
+                    if u not in pos:
                         push(u)
-    pos = {v: i for i, v in enumerate(order)}
     completing: list[list[tuple[int, ...]]] = [[] for _ in order]
     for scope in scopes:
         positions = tuple(pos[v] for v in scope)

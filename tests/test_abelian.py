@@ -141,7 +141,7 @@ def _count_by_enumeration(m: IntMatrix, c, d: int) -> int:
     count = 0
     for x in product(range(d), repeat=m.cols):
         if all(
-            sum(m[i, j] * x[j] for j in range(m.cols)) % d == c[i] % d
+            sum(m.entries[i][j] * x[j] for j in range(m.cols)) % d == c[i] % d
             for i in range(m.rows)
         ):
             count += 1
@@ -432,10 +432,10 @@ def test_occurrence_matrix():
     g = Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
     m = occurrence_matrix(g)
     assert (m.rows, m.cols) == (2, 4)
-    assert [m[0, j] for j in range(4)] == [1, 1, 1, 0]
+    assert [m.entries[0][j] for j in range(4)] == [1, 1, 1, 0]
     c = CspInstance(2, ((0, 0, 1),), ())
     m = occurrence_matrix(c)
-    assert [m[0, j] for j in range(2)] == [2, 1]
+    assert [m.entries[0][j] for j in range(2)] == [2, 1]
 
 
 def test_count_homs_examples():

@@ -325,7 +325,7 @@ def test_criterion_7_linear_algebra_substrate(record_acceptance):
             for i in range(res.S.rows):
                 for j in range(res.S.cols):
                     if i != j:
-                        assert res.S[i, j] == 0
+                        assert res.S.entries[i][j] == 0
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0 and a > 0
 
@@ -340,7 +340,7 @@ def test_criterion_7_linear_algebra_substrate(record_acceptance):
             direct = 0
             for x in product(range(d), repeat=cols):
                 if all(
-                    sum(m[i, j] * x[j] for j in range(cols)) % d == c[i] % d
+                    sum(m.entries[i][j] * x[j] for j in range(cols)) % d == c[i] % d
                     for i in range(rows)
                 ):
                     direct += 1

@@ -119,6 +119,19 @@ def test_eval_value_beyond_int_str_digits(tmp_path, capsys):
     assert int(Decimal(text)) == 4**8000
 
 
+def test_eval_one_edge_among_1e20_vertices(tmp_path, capsys):
+    # n is past the largest index, so nothing may be kept per vertex; under
+    # a q = 1 table the vertices in no scope multiply Z by 1
+    g = tmp_path / "one.sf"
+    g.write_text("symfunc v1\nq 1\nr 3\n0 0 0 = 3/2\n")
+    inst = tmp_path / "sparse.hg"
+    inst.write_text(f"hypergraph v1\nn {10**20}\ne 0 1 2\n")
+    for method in ("auto", "brute", "structured", "dp-lambda"):
+        code, report, _ = run_cli(capsys, "eval", "-g", str(g), "-i", str(inst), "--method", method)
+        assert code == 0
+        assert report["payload"]["value"] == "3/2"
+
+
 def test_eval_brute_deeper_than_recursion_limit(files, tmp_path, capsys):
     # a loose path with 600 edges: a plan 1200 deep; its 600 even-sum
     # constraints are independent over Z2, so Z = 2^(1201 - 600)

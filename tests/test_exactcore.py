@@ -89,11 +89,11 @@ def det_int(m: IntMatrix) -> int:
 
 def test_matrix_basics():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert m[0, 1] == 2
-    assert m.mul(IntMatrix.identity(2)).entries == m.entries
+    assert m.entries[0][1] == 2
+    assert m.mul(IntMatrix.from_rows([[1, 0], [0, 1]])).entries == m.entries
     assert det_int(m) == -2
-    assert det_int(IntMatrix.identity(3)) == 1
-    assert det_int(IntMatrix.zeros(2, 2)) == 0
+    assert det_int(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+    assert det_int(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
 
 
 def test_snf_single_entry():
@@ -122,7 +122,7 @@ def _check_snf(m: IntMatrix) -> None:
     for i in range(res.S.rows):
         for j in range(res.S.cols):
             if i != j:
-                assert res.S[i, j] == 0
+                assert res.S.entries[i][j] == 0
     nonzero = [d for d in diag if d != 0]
     assert all(d > 0 for d in nonzero)
     assert len(nonzero) == res.rank
