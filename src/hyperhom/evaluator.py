@@ -26,6 +26,7 @@ from .model import Instance, degrees, instance_components, instance_plan
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
+    "MAX_ISOLATED_BITS",
     "CapExceeded",
     "resolve_brute_cap",
     "eval_bruteforce",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_CAP = 10_000_000
+MAX_ISOLATED_BITS = 2**23  # bound on isolated * ceil(log2 q), the bits of q^isolated
 
 
 class CapExceeded(RuntimeError):
@@ -62,6 +64,15 @@ def resolve_brute_cap(cap: int | None = None) -> int:
 def _check_instance(g_r: int, inst: Instance) -> None:
     if inst.scopes and len(inst.scopes[0]) != g_r:
         raise ValueError(f"instance arity {len(inst.scopes[0])} != function arity {g_r}")
+
+
+def _isolated_factor(q: int, isolated: int) -> int:
+    """q^isolated, the factor of the vertices in no scope; ValueError, before
+    it is formed, when isolated * ceil(log2 q) passes MAX_ISOLATED_BITS."""
+    if isolated * (q - 1).bit_length() > MAX_ISOLATED_BITS:
+        raise ValueError(f"{isolated} vertices in no scope would multiply Z by {q}^{isolated}, "
+                         f"past {MAX_ISOLATED_BITS} bits")
+    return q**isolated
 
 
 def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
@@ -96,6 +107,7 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
         live -= retiring[d]
     if states_bound > cap:
         raise CapExceeded(f"{states_bound} or more states exceed the configured cap {cap}")
+    isolated = _isolated_factor(q, inst.n - len(done))
     scale = math.lcm(*(w.denominator for w in g.weights.values()))
     # prod(base + z) over a key's values z has the elementary symmetric
     # sums of the z as its digits in base (2q)^r, each below the base, so
@@ -134,8 +146,15 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
                     out = project(full)
                     layer[out] = layer.get(out, 0) + w
         states = layer
-    total = states.get((), 0) * q ** (inst.n - len(done))
-    return Fraction(total, scale ** len(inst.scopes))
+    return Fraction(states.get((), 0) * isolated, scale ** len(inst.scopes))
+
+
+def _arity(fs: FactorStructure, degs: Sequence[int], m_count: int) -> int:
+    """The relation's arity r, once the degrees are checked to sum to r * M."""
+    r = len(next(iter(fs.relation)))
+    if sum(degs) != r * m_count:
+        raise ValueError(f"degree sum {sum(degs)} != arity {r} * scopes {m_count}")
+    return r
 
 
 def lambda_factor_direct(fs: FactorStructure, degs: Sequence[int], m_count: int) -> Fraction:
@@ -146,41 +165,30 @@ def lambda_factor_direct(fs: FactorStructure, degs: Sequence[int], m_count: int)
     share one power. The root-free form is exact because the index-0
     weight is 1 and the constant contributes once per scope.
     """
-    r = len(next(iter(fs.relation)))
-    if sum(degs) != r * m_count:
-        raise ValueError(f"degree sum {sum(degs)} != arity {r} * scopes {m_count}")
+    _arity(fs, degs, m_count)
     out = fs.constant**m_count
     for d, count in Counter(degs).items():
         out *= pow(sum(m**d for m in fs.mu), count)
     return out
 
 
-def lambda_monomial_dp(
-    fs: FactorStructure, inst: Instance
-) -> tuple[dict[tuple[int, ...], int], Fraction]:
-    """Degree factor as a sum over exponent vectors.
+def lambda_monomial_dp(fs: FactorStructure, degs: Sequence[int], m_count: int) -> Fraction:
+    """The degree factor of lambda_factor_direct, from the same arguments,
+    as a sum over exponent vectors.
 
-    Walks the vertices, giving each one index and adding its degree to
-    that index's load. A state holds the loads of the first s-1 indices
+    Walks the degrees, giving each vertex one index and adding its degree
+    to that index's load. A state holds the loads of the first s-1 indices
     (the last is forced by the total rM) as one int in mixed radix
     W = rM + 1, load i at W**i, so a vertex of degree d adds d * W**i.
-    Each final state is decoded once into coeff, which maps each exponent
-    vector (M_1..M_s), in sorted order, to its count of index assignments; the
-    vectors sum to rM and the counts to s^n. The value sums count times
-    C^M * prod_i mu[i]^M_i over coeff in integers, over the common
-    denominator prod_i b_i^(rM) where mu[i] = a_i/b_i, and makes one
-    Fraction at the end. It never forms the per-vertex product, so it is
+    The value sums each final state's count of index assignments times
+    C^M * prod_i mu[i]^M_i, in integers over the common denominator
+    prod_i b_i^(rM) where mu[i] = a_i/b_i, with the loads read off each
+    state's digits. It never forms the per-vertex product, so it is
     computed independently of, and must equal, lambda_factor_direct.
     """
-    m_count = len(inst.scopes)
-    if m_count < 1:
-        raise ValueError("instance has no scopes; edgeless pieces bypass the degree factor")
-    degs = degrees(inst)
-    r = len(next(iter(fs.relation)))
-    s = fs.s
-    total = r * m_count
+    total = _arity(fs, degs, m_count) * m_count
     radix = total + 1
-    places = [radix**i for i in range(s - 1)]
+    places = [radix**i for i in range(fs.s - 1)]
     states: dict[int, int] = {0: 1}
     for d in degs:
         # the vertex takes index s-1 (state unchanged) or index i < s-1
@@ -191,25 +199,17 @@ def lambda_monomial_dp(
                 key = state + shift
                 nxt[key] = get(key, 0) + cnt
         states = nxt
-    vectors = []
-    for state, cnt in states.items():
-        loads = []
-        for _ in places:
-            state, load = divmod(state, radix)
-            loads.append(load)
-        loads.append(total - sum(loads))
-        vectors.append((tuple(loads), cnt))
-    vectors.sort()
-    ratios = [(mu.numerator, mu.denominator) for mu in fs.mu]
+    *heads, (a_last, b_last) = ratios = [(mu.numerator, mu.denominator) for mu in fs.mu]
     numerator = 0
-    for mvec, cnt in vectors:
-        term = cnt
-        for (a, b), m in zip(ratios, mvec):
-            term *= a**m * b ** (total - m)
-        numerator += term
+    for state, cnt in states.items():
+        rest = total
+        for a, b in heads:
+            state, load = divmod(state, radix)
+            cnt *= a**load * b ** (total - load)
+            rest -= load
+        numerator += cnt * a_last**rest * b_last ** (total - rest)
     denominator = math.prod(b for _, b in ratios) ** total
-    value = fs.constant**m_count * Fraction(numerator, denominator)
-    return dict(vectors), value
+    return fs.constant**m_count * Fraction(numerator, denominator)
 
 
 def monomial_value(fs: FactorStructure, mvec: Sequence[int]) -> Fraction:
@@ -299,32 +299,30 @@ def eval_tractable(cls: Classification, inst: Instance, method: str = "structure
 
     Z factors over connected instance pieces; each piece sums, over the
     domain components, the degree factor times the count of group-equation
-    solutions. Isolated vertices contribute the original domain size each.
+    solutions; the degree factor is lambda_factor_direct for "structured"
+    and lambda_monomial_dp for "structured-dp". Isolated vertices contribute
+    the original domain size each.
     """
     if not cls.tractable:
         raise ValueError("structured evaluation requires a Tractable classification")
-    if method not in ("structured", "structured-dp"):
+    degree_factor = {"structured": lambda_factor_direct, "structured-dp": lambda_monomial_dp}.get(method)
+    if degree_factor is None:
         raise ValueError(f"unknown method {method!r}")
     _check_instance(cls.func.r, inst)
     split = instance_components(inst)
-    value = Fraction(1)
+    value = Fraction(_isolated_factor(cls.func.q, split.isolated))
     pieces: list[PieceBreakdown] = []
     for sub, verts in split.pieces:
         degs = degrees(sub)
-        m_count = len(sub.scopes)
         terms: list[TermBreakdown] = []
         total = Fraction(0)
         for comp in cls.components:
-            if method == "structured":
-                lam = lambda_factor_direct(comp.factor, degs, m_count)
-            else:
-                _, lam = lambda_monomial_dp(comp.factor, sub)
+            lam = degree_factor(comp.factor, degs, len(sub.scopes))
             homs = count_homs(comp.group.decomposition, comp.group.a, sub)
             terms.append(TermBreakdown(comp.factor.component, lam, homs))
             total += lam * homs
         value *= total
         pieces.append(PieceBreakdown(verts, tuple(terms), total))
-    value *= Fraction(cls.func.q) ** split.isolated
     return EvalReport(value, method, tuple(pieces), split.isolated)
 
 
@@ -340,15 +338,11 @@ def evaluate(
     back to guarded brute force; structured/structured-dp require a
     Tractable function; brute never classifies.
     """
-    if method == "brute":
-        return EvalReport(eval_bruteforce(g, inst, cap), "brute"), None
-    cls = classify(g)
-    if method == "auto":
-        if cls.tractable:
-            return eval_tractable(cls, inst, "structured"), cls
+    if method not in ("auto", "brute", "structured", "structured-dp"):
+        raise ValueError(f"unknown method {method!r}")
+    cls = None if method == "brute" else classify(g)
+    if cls is None or (method == "auto" and not cls.tractable):
         return EvalReport(eval_bruteforce(g, inst, cap), "brute"), cls
-    if method in ("structured", "structured-dp"):
-        if not cls.tractable:
-            raise ValueError("structured evaluation requires a Tractable function")
-        return eval_tractable(cls, inst, method), cls
-    raise ValueError(f"unknown method {method!r}")
+    if not cls.tractable:
+        raise ValueError("structured evaluation requires a Tractable function")
+    return eval_tractable(cls, inst, "structured" if method == "auto" else method), cls

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .abelian import count_homs
 from .dichotomy import ComponentStructure
 from .evaluator import lambda_factor_direct
 from .model import (
@@ -370,14 +369,19 @@ def eval_table_brute(table: SymFunc, inst: Instance) -> Fraction:
     """Plain assignment sum of a value table of any arity over an instance.
 
     Test-harness helper (identities compare this against the main
-    evaluator); refuses beyond 10^7 assignments.
+    evaluator); an assignment that breaks an equality constraint adds
+    nothing. Refuses beyond 10^7 assignments.
     """
     if inst.scopes and table.r != len(inst.scopes[0]):
         raise ValueError(f"table arity {table.r} != instance arity {len(inst.scopes[0])}")
-    if table.q**inst.n > 10**7:
+    # 2^24 > 10^7, so the exponent capped at 24 compares q^n without forming it
+    if table.q ** min(inst.n, 24) > 10**7:
         raise ValueError(f"{table.q}^{inst.n} assignments exceed 10^7")
+    equalities = inst.equalities if isinstance(inst, CspInstance) else ()
     total = Fraction(0)
     for sigma in product(range(table.q), repeat=inst.n):
+        if any(sigma[u] != sigma[w] for u, w in equalities):
+            continue
         w = Fraction(1)
         for scope in inst.scopes:
             w *= table.value(tuple(sigma[v] for v in scope))

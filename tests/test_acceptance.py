@@ -268,17 +268,19 @@ def test_criterion_5_lambda_equivalence(record_acceptance):
             n = rng.randint(3, 30)
             m = rng.randint(1, min(50, math.comb(n, 3)))
             inst = fx.random_connected_hypergraph(rng, n, m, 3)
-            direct = lambda_factor_direct(fs, degrees(inst), len(inst.edges))
-            _, dp = lambda_monomial_dp(fs, inst)
+            degs = degrees(inst)
+            direct = lambda_factor_direct(fs, degs, len(inst.edges))
+            dp = lambda_monomial_dp(fs, degs, len(inst.edges))
             assert direct == dp
 
         # scaling case: n = 100, M = 200, s = 2 under its own budget
         big = fx.random_connected_hypergraph(rng, 100, 200, 3)
         fs = classify(fx.mixed()).components[0].factor
+        degs = degrees(big)
         t0 = time.perf_counter()
-        _, dp = lambda_monomial_dp(fs, big)
+        dp = lambda_monomial_dp(fs, degs, len(big.edges))
         big_dt = time.perf_counter() - t0
-        assert dp == lambda_factor_direct(fs, degrees(big), len(big.edges))
+        assert dp == lambda_factor_direct(fs, degs, len(big.edges))
         assert big_dt < 5, f"DP at n=100, M=200 took {big_dt:.2f}s"
         return f"100 random pairs exact; n=100/M=200/s=2 DP in {big_dt:.2f}s < 5s"
 

@@ -15,6 +15,7 @@ import pytest
 import hyperhom
 from hyperhom import fixtures as fx
 from hyperhom.cli import main
+from hyperhom.evaluator import MAX_ISOLATED_BITS
 from hyperhom.gadgets import relation_to_symfunc
 from hyperhom.model import CspInstance, Hypergraph, dump_csp, dump_hypergraph, dump_symfunc
 
@@ -76,7 +77,7 @@ def test_classify_hard(files, capsys):
     assert report["payload"]["replay"] is True
 
 
-def test_eval_methods(files, capsys):
+def test_eval_methods(files, tmp_path, capsys):
     code, report, _ = run_cli(
         capsys, "eval", "-g", files["parity"], "-i", files["edge3"], "--method", "auto"
     )
@@ -105,6 +106,13 @@ def test_eval_methods(files, capsys):
     assert report["payload"]["method"] == "structured-dp"
     assert report["payload"]["value"] == "27"
 
+    four = tmp_path / "four.hg"
+    four.write_text(dump_hypergraph(Hypergraph(4, ((0, 1, 2, 3),))))
+    for method in ("auto", "brute", "structured", "dp-lambda"):
+        code, report, _ = run_cli(capsys, "eval", "-g", files["parity"], "-i", str(four), "--method", method)
+        assert code == 1
+        assert report["payload"]["message"] == "instance arity 4 != function arity 3"
+
 
 def test_eval_value_beyond_int_str_digits(tmp_path, capsys):
     # 4^8000 has 4817 digits, beyond the interpreter's default int-to-str limit
@@ -130,6 +138,26 @@ def test_eval_one_edge_among_1e20_vertices(tmp_path, capsys):
         code, report, _ = run_cli(capsys, "eval", "-g", str(g), "-i", str(inst), "--method", method)
         assert code == 0
         assert report["payload"]["value"] == "3/2"
+    # under a q = 2 table they would multiply Z by 2^(10^20 - 3): each method
+    # refuses before forming that power, here under a 1 GiB address-space cap
+    # so that a regression fails fast instead of filling the memory
+    resource = pytest.importorskip("resource")
+    g.write_text("symfunc v1\nq 2\nr 3\n0 0 0 = 1\n0 1 1 = 1\n")
+    src = str(Path(hyperhom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for method in ("auto", "brute", "structured", "dp-lambda"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperhom.cli", "eval", "-g", str(g), "-i", str(inst), "--method", method],
+            capture_output=True, text=True, env=env, preexec_fn=capped, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        message = json.loads(proc.stdout)["payload"]["message"]
+        k = 10**20 - 3
+        assert message == f"{k} vertices in no scope would multiply Z by 2^{k}, past {MAX_ISOLATED_BITS} bits"
 
 
 def test_eval_brute_deeper_than_recursion_limit(files, tmp_path, capsys):
@@ -262,6 +290,17 @@ def test_malformed_table_is_input_error(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "classify", "-g", str(bad))
     assert code == 1
     assert "line 4" in report["payload"]["message"]
+    # an empty table, and a valid table with a comment-only instance
+    empty, good, comments = tmp_path / "empty.sf", tmp_path / "good.sf", tmp_path / "comments.hg"
+    empty.write_text("")
+    good.write_text("symfunc v1\nq 2\nr 3\n0 0 0 = 1\n")
+    comments.write_text("# no header\n\n")
+    code, report, _ = run_cli(capsys, "classify", "-g", str(empty))
+    assert code == 1
+    assert report["payload"]["message"] == "line 1: empty file, expected header 'symfunc v1'"
+    code, report, _ = run_cli(capsys, "eval", "-g", str(good), "-i", str(comments))
+    assert code == 1
+    assert report["payload"]["message"] == "line 1: empty file"
 
 
 def test_report_determinism(files, capsys):

@@ -258,23 +258,22 @@ def test_lambda_factor_direct_examples():
 
 def test_lambda_monomial_dp_examples():
     geom_fs = classify(fx.geometric()).components[0].factor
-    coeff, value = lambda_monomial_dp(geom_fs, EDGE)
+    assert lambda_monomial_dp(geom_fs, (1, 1, 1), 1) == 27
+    coeff, value = _reference_monomial_dp(geom_fs, (1, 1, 1), 1)
     assert value == 27
-    coeffs = {vec: c for vec, c in coeff.items()}
-    assert coeffs == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
+    assert coeff == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
 
     mixed_fs = classify(fx.mixed()).components[0].factor
-    two = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
-    _, value = lambda_monomial_dp(mixed_fs, two)
-    assert value == 2560
+    assert lambda_monomial_dp(mixed_fs, (1, 1, 2, 1, 1), 2) == 2560
 
     parity_fs = classify(fx.parity()).components[0].factor
-    coeff, value = lambda_monomial_dp(parity_fs, EDGE)
+    assert lambda_monomial_dp(parity_fs, (1, 1, 1), 1) == 1
+    coeff, value = _reference_monomial_dp(parity_fs, (1, 1, 1), 1)
     assert value == 1
     assert list(coeff.items()) == [((3,), 1)]
 
-    with pytest.raises(ValueError):
-        lambda_monomial_dp(geom_fs, Hypergraph(3, ()))
+    with pytest.raises(ValueError, match="degree sum 3 != arity 3"):
+        lambda_monomial_dp(geom_fs, (1, 1, 1), 2)  # the message of lambda_factor_direct
 
 
 def test_tally_sanity_random():
@@ -285,12 +284,14 @@ def test_tally_sanity_random():
         inst = fx.random_hypergraph(rng, 6, 4, 3)
         if not inst.edges:
             continue
+        degs, m_count = degrees(inst), len(inst.edges)
         for comp in cls.components:
             fs = comp.factor
-            coeff, value = lambda_monomial_dp(fs, inst)
+            coeff, want = _reference_monomial_dp(fs, degs, m_count)
             assert sum(coeff.values()) == fs.s ** inst.n
-            assert all(sum(vec) == 3 * len(inst.edges) for vec in coeff)
-            assert value == lambda_factor_direct(fs, degrees(inst), len(inst.edges))
+            assert all(sum(vec) == 3 * m_count for vec in coeff)
+            value = lambda_monomial_dp(fs, degs, m_count)
+            assert value == want == lambda_factor_direct(fs, degs, m_count)
 
 
 def test_monomial_value_examples():
@@ -437,6 +438,13 @@ def test_evaluate_auto_dispatch():
 
     with pytest.raises(ValueError):
         evaluate(fx.not_all_zero(), EDGE, method="structured")
+    with pytest.raises(ValueError, match="requires a Tractable classification"):
+        eval_tractable(classify(fx.not_all_zero()), EDGE)
+    with pytest.raises(ValueError, match="unknown method 'brute'"):
+        eval_tractable(classify(fx.parity()), EDGE, method="brute")
+    # an unknown method is refused before classify, which None would break
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        evaluate(None, EDGE, method="nope")
 
 
 def test_evaluate_structured_dp():
@@ -486,10 +494,10 @@ def _reference_bruteforce(g, inst):
     return Fraction(total * q ** (n - len(order)), scale ** len(inst.scopes))
 
 
-def _reference_monomial_dp(fs, inst):
-    """Tuple states of the first s-1 loads, summed as Fractions."""
-    degs = degrees(inst)
-    r = len(next(iter(fs.relation)))
+def _reference_monomial_dp(fs, degs, m_count):
+    """Tuple states of the first s-1 loads, summed as Fractions: the
+    exponent vectors (M_1..M_s) in sorted order with their counts of index
+    assignments, and the value."""
     states = {(0,) * (fs.s - 1): 1}
     for d in degs:
         nxt = {}
@@ -499,7 +507,7 @@ def _reference_monomial_dp(fs, inst):
                 nxt[key] = nxt.get(key, 0) + cnt
             nxt[state] = nxt.get(state, 0) + cnt
         states = nxt
-    total = r * len(inst.scopes)
+    total = len(next(iter(fs.relation))) * m_count
     coeff, value = {}, Fraction(0)
     for state, cnt in sorted(states.items()):
         mvec = state + (total - sum(state),)
@@ -556,14 +564,12 @@ def test_monomial_dp_matches_reference_tuple_states():
         s, r = rng.randint(1, 5), rng.randint(3, 5)
         fs = _random_factor(rng, s, r)
         inst = _random_instance(rng, rng.randint(1, 6), r, m_max=4)
-        if not inst.scopes:
-            continue
-        got, value = lambda_monomial_dp(fs, inst)
-        coeff, want = _reference_monomial_dp(fs, inst)
-        assert list(got.items()) == list(coeff.items())
-        assert value == want
-        assert value == sum(cnt * monomial_value(fs, mvec) for mvec, cnt in got.items())
-        assert value == lambda_factor_direct(fs, degrees(inst), len(inst.scopes))
+        degs, m_count = degrees(inst), len(inst.scopes)
+        coeff, want = _reference_monomial_dp(fs, degs, m_count)
+        assert sum(coeff.values()) == fs.s ** inst.n
+        assert all(sum(vec) == r * m_count for vec in coeff)
+        value = lambda_monomial_dp(fs, degs, m_count)
+        assert value == want == lambda_factor_direct(fs, degs, m_count)
 
 
 # --- eval-side properties, through every evaluation method

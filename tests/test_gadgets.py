@@ -426,3 +426,17 @@ def test_brute_harness_helpers():
     assert eval_table_brute(f2, TRIANGLE) == 8
     h = SymFunc(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(1)})
     assert eval_table_brute(h, Hypergraph(2, ((0, 1),))) == 6
+    # the size guard compares q^n with 10^7 without forming q^n
+    with pytest.raises(ValueError, match="exceed 10\\^7"):
+        eval_table_brute(fx.parity(), CspInstance(10**20, ((0, 1, 2),)))
+    # an assignment that breaks an equality adds nothing, so the plain sum
+    # equals the oracle on the contracted instance
+    assert eval_table_brute(fx.parity(), CspInstance(4, ((0, 1, 2),), ((0, 3),))) == 4
+    rng = random.Random(2525)
+    for _ in range(60):
+        q, r, n = rng.randint(1, 3), rng.randint(3, 4), rng.randint(1, 6)
+        g = fx.random_table(rng, q, r, zero_frac=0.3)
+        scopes = tuple(tuple(rng.randrange(n) for _ in range(r)) for _ in range(rng.randint(0, 3)))
+        pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3)))
+        inst = CspInstance(n, scopes, pairs)
+        assert eval_table_brute(g, inst) == eval_bruteforce(g, contract_equalities(inst)[0])
