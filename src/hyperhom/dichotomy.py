@@ -19,9 +19,10 @@ directly; the three group stages work on class ids only.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, CyclicDecomposition, decompose, first_nonassociative
@@ -161,6 +162,9 @@ class Classification:
         return self.func.support_index.removed
 
 
+_KEYS_PER_COMPARE = 32  # a failed slice comparison costs about what min() pays for this many keys
+
+
 def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
     """Group component elements whose slices are proportional.
 
@@ -175,26 +179,44 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
     mismatches usually show at the first key. Ratios are compared as
     integer cross-products of numerators and denominators, with no gcd per
     key; one Fraction is built for each element that joins a class.
+
+    An element is compared only with the classes it could join.
+    Proportional slices hold the same rests K - z, so they have the same
+    key count and the same least rest, which is min(holders[z]) with one z
+    removed: dropping z from the sorted keys that hold it keeps their order.
+    Of the classes whose slices have n keys, the first n // 32 + 1 are
+    compared one by one; the later ones are filed by least rest, and an
+    element whose count has them also reads its own least rest, one min
+    over its n keys, to find the rest of its candidates. Proportionality is
+    an equivalence, so an element has at most one class to join, and the
+    classes, their order and the ratios are those of comparing it with
+    every class found so far. Where key counts differ, as in a dense random
+    table, an element costs about one comparison; where classes share a
+    count, as in a group table, it costs one min and at most n // 32 + 2
+    comparisons rather than one per class found so far.
     """
     comp = tuple(sorted(component))
     table = g.weights
     holders = g.support_index.holders
 
+    def least_rest(z: int) -> tuple[int, ...]:
+        rest = list(min(holders[z]))
+        rest.remove(z)
+        return tuple(rest)
+
     def ratio_to(z: int, rep: int) -> Fraction | None:
-        keys = holders[z]
-        if len(keys) != len(holders[rep]):
-            return None
+        """z's ratio to rep, whose slice has as many keys, or None."""
         num = den = 0  # the first key's ratio num/den; weights are positive
-        for key in keys:
+        for key in holders[z]:
             swapped = list(key)
             swapped.remove(z)
-            swapped.append(rep)
-            other = table.get(tuple(sorted(swapped)))
+            insort(swapped, rep)
+            other = table.get(tuple(swapped))
             if other is None:
                 return None
-            w = table[key]
-            n = w.numerator * other.denominator
-            d = w.denominator * other.numerator
+            wn, wd = table[key].as_integer_ratio()
+            on, od = other.as_integer_ratio()
+            n, d = wn * od, wd * on
             if not den:
                 num, den = n, d
             elif n * den != num * d:
@@ -203,18 +225,27 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
 
     classes: list[list[int]] = []
     ratio: dict[int, Fraction] = {}
+    scanned: dict[int, list[list[int]]] = {}  # key count -> its first classes
+    filed: dict[tuple, list[list[int]]] = {}  # (count, least rest) -> the count's later classes
     for z in comp:
         if z not in holders:
             raise ValueError(f"element {z} has an all-zero slice; prune the domain first")
-        for cls in classes:
+        n = len(holders[z])
+        home = candidates = scanned.setdefault(n, [])
+        if len(home) > n // _KEYS_PER_COMPARE:  # full: later classes are filed by least rest
+            home = filed.setdefault((n, least_rest(z)), [])
+            candidates = chain(candidates, home)
+        for cls in candidates:
             t = ratio_to(z, cls[0])
             if t is not None:
                 cls.append(z)
                 ratio[z] = t
                 break
         else:
-            classes.append([z])
+            cls = [z]
+            classes.append(cls)
             ratio[z] = Fraction(1)
+            home.append(cls)
     return SimClasses(comp, tuple(tuple(c) for c in classes), ratio)
 
 

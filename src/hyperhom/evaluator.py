@@ -75,6 +75,14 @@ def _isolated_factor(q: int, isolated: int) -> int:
     return q**isolated
 
 
+def _tuple_getter(indices: Sequence[int]) -> itemgetter:
+    """An itemgetter that returns a tuple for any number of indices: one
+    index would give a bare value, so a slice keeps a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
 def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     """Oracle evaluation by a sum over a frontier, in `instance_plan` order.
 
@@ -124,14 +132,10 @@ def eval_bruteforce(g, inst: Instance, cap: int | None = None) -> Fraction:
     for d in depths:
         frontier.append(d)
         slot = {p: i for i, p in enumerate(frontier)}
-        # r >= 3, so each getter returns a tuple
-        getters = [itemgetter(*(slot[p] for p in positions)) for positions in completing[d]]
+        getters = [_tuple_getter([slot[p] for p in positions]) for positions in completing[d]]
         kept = [i for i, p in enumerate(frontier) if done[p] > d]
         frontier = [frontier[i] for i in kept]
-        if len(kept) > 1:
-            project = itemgetter(*kept)
-        else:  # one index would give a bare value, so a slice keeps a tuple
-            project = itemgetter(slice(kept[0], kept[0] + 1) if kept else slice(0))
+        project = _tuple_getter(kept)
         layer: dict[tuple[int, ...], int] = {}
         for key, w0 in states.items():
             for place in places:

@@ -31,6 +31,7 @@ from .model import (
 )
 
 __all__ = [
+    "MAX_GADGET_ENTRIES",
     "GadgetResult",
     "pad_to_arity",
     "two_stretch",
@@ -48,6 +49,8 @@ __all__ = [
     "recover_via_interpolation",
     "eval_table_brute",
 ]
+
+MAX_GADGET_ENTRIES = 10**6  # bound on what a report lists: tilde_f's q*q, vertex_power's n and pendants
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +129,13 @@ def tilde_f(g: SymFunc, k: int) -> tuple[tuple[Fraction, ...], ...]:
     element z, and only pairs sharing a w are multiplied. Values are scaled
     to integers over one common denominator D, so the products and sums are
     integer arithmetic, and each entry becomes one Fraction over D^2.
+    A table with q*q above MAX_GADGET_ENTRIES is refused with ValueError
+    before the matrix is built.
     """
     if not 2 <= k <= g.r:
         raise ValueError(f"need 2 <= k <= r, got k={k}")
+    if g.q * g.q > MAX_GADGET_ENTRIES:
+        raise ValueError(f"a {g.q}x{g.q} table would pass {MAX_GADGET_ENTRIES} entries")
     f = marginalize(g, k)
     den = math.lcm(*(v.denominator for v in f.weights.values()))
     slices: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -153,12 +160,21 @@ def tilde_f(g: SymFunc, k: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def vertex_power(g_instance: Hypergraph, j: int) -> GadgetResult:
-    """Attach (j-1) * degree pendant edges (fresh tails) to every vertex."""
+    """Attach (j-1) * degree pendant edges (fresh tails) to every vertex.
+
+    The pendants are listed per vertex, so n or a pendant count above
+    MAX_GADGET_ENTRIES is refused with ValueError before anything is kept
+    per vertex."""
     if j < 1:
         raise ValueError(f"power must be at least 1, got {j}")
     k = g_instance.arity
     if j == 1 or k is None:
         return GadgetResult(g_instance, {"pendants_per_vertex": []}, {"j": j})
+    if g_instance.n > MAX_GADGET_ENTRIES:
+        raise ValueError(f"pendant lists for {g_instance.n} vertices would pass {MAX_GADGET_ENTRIES} entries")
+    added = (j - 1) * k * len(g_instance.edges)  # (j-1) * degree summed over the vertices
+    if added > MAX_GADGET_ENTRIES:
+        raise ValueError(f"{added} pendant edges would pass {MAX_GADGET_ENTRIES} entries")
     degs = degrees(g_instance)
     edges = list(g_instance.edges)
     pendants = []

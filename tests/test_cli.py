@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -16,8 +20,8 @@ import hyperhom
 from hyperhom import fixtures as fx
 from hyperhom.cli import main
 from hyperhom.evaluator import MAX_ISOLATED_BITS
-from hyperhom.gadgets import relation_to_symfunc
-from hyperhom.model import CspInstance, Hypergraph, dump_csp, dump_hypergraph, dump_symfunc
+from hyperhom.gadgets import MAX_GADGET_ENTRIES, relation_to_symfunc, tilde_f, vertex_power
+from hyperhom.model import CspInstance, Hypergraph, SymFunc, dump_csp, dump_hypergraph, dump_symfunc
 
 
 # Latin and associative (Z4 with zero 0 reads off a target of 0), but the
@@ -158,6 +162,46 @@ def test_eval_one_edge_among_1e20_vertices(tmp_path, capsys):
         message = json.loads(proc.stdout)["payload"]["message"]
         k = 10**20 - 3
         assert message == f"{k} vertices in no scope would multiply Z by 2^{k}, past {MAX_ISOLATED_BITS} bits"
+
+
+def test_gadgets_refuse_reports_past_the_entry_bound(tmp_path, capsys):
+    # tilde reports a q x q matrix and power a pendant list per vertex, so at
+    # 10^20 each refuses (exit 1) at once, before it keeps anything per element
+    # or vertex
+    huge = 10**20
+    g = tmp_path / "huge.sf"
+    g.write_text(f"symfunc v1\nq {huge}\nr 3\n0 0 0 = 1\n")
+    inst = tmp_path / "huge.hg"
+    inst.write_text(f"hypergraph v1\nn {huge}\ne 0 1 2\n")
+    cases = (
+        (["tilde", "-g", str(g), "-k", "3"], f"a {huge}x{huge} table would pass {MAX_GADGET_ENTRIES} entries"),
+        (["power", "-i", str(inst), "-j", "2"],
+         f"pendant lists for {huge} vertices would pass {MAX_GADGET_ENTRIES} entries"),
+    )
+    for argv, message in cases:
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, report, _ = run_cli(capsys, "gadget", *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1
+        assert peak < 10**7
+        assert code == 1
+        assert report["payload"]["message"] == message
+    # the bound is on the entries: one past it is refused in the library too
+    side = math.isqrt(MAX_GADGET_ENTRIES) + 1
+    with pytest.raises(ValueError, match="entries"):
+        tilde_f(SymFunc(side, 3, {(0, 0, 0): Fraction(1)}), 3)
+    with pytest.raises(ValueError, match="entries"):
+        vertex_power(Hypergraph(MAX_GADGET_ENTRIES + 1, ((0, 1, 2),)), 2)
+    # so is a power whose pendant edges, (j - 1) * degree per vertex, pass it
+    with pytest.raises(ValueError, match=f"{3 * 10**12} pendant edges"):
+        vertex_power(Hypergraph(3, ((0, 1, 2),)), 10**12 + 1)
+    # a power of 1 or an instance with no edge lists no pendants at any n
+    assert vertex_power(Hypergraph(huge, ((0, 1, 2),)), 1).maps == {"pendants_per_vertex": []}
+    assert vertex_power(Hypergraph(huge, ()), 2).maps == {"pendants_per_vertex": []}
 
 
 def test_eval_brute_deeper_than_recursion_limit(files, tmp_path, capsys):

@@ -440,3 +440,16 @@ def test_brute_harness_helpers():
         pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3)))
         inst = CspInstance(n, scopes, pairs)
         assert eval_table_brute(g, inst) == eval_bruteforce(g, contract_equalities(inst)[0])
+    # marginals of arity 1 and 2: the oracle reads a one-position scope as a
+    # tuple too
+    f1 = marginalize(fx.parity(), 1)
+    assert eval_bruteforce(f1, CspInstance(2, ((0,), (1,), (0,)))) == 32
+    for _ in range(30):
+        q, r, n = rng.randint(1, 3), rng.randint(3, 4), rng.randint(1, 6)
+        g = fx.random_table(rng, q, r, zero_frac=0.3)
+        for k in (1, 2):
+            f = marginalize(g, k)
+            scopes = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(rng.randint(0, 4)))
+            pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2)))
+            inst = CspInstance(n, scopes, pairs)
+            assert eval_table_brute(f, inst) == eval_bruteforce(f, contract_equalities(inst)[0])

@@ -238,10 +238,54 @@ def test_sim_classes_match_dense_slices(g):
     assert sc.ratio == ratio
 
 
+def _perturbed(rng: random.Random, g: SymFunc) -> SymFunc:
+    weights = dict(g.weights)
+    support = sorted(weights)
+    move = rng.choice(("bump", "drop", "add"))
+    if move == "bump":
+        key = rng.choice(support)
+        weights[key] *= 2
+    elif move == "drop" and len(support) > 1:
+        del weights[rng.choice(support)]
+    else:
+        weights[tuple(sorted(rng.randrange(g.q) for _ in range(g.r)))] = Fraction(1)
+    return SymFunc.from_weights(g.q, g.r, weights)
+
+
+def _shuffled(rng: random.Random, g: SymFunc) -> SymFunc:
+    """g with its keys in shuffled order, so no element's keys come sorted."""
+    items = list(g.weights.items())
+    rng.shuffle(items)
+    return SymFunc.from_weights(g.q, g.r, dict(items))
+
+
 def test_sim_classes_match_dense_on_structured_tables():
+    # sim_classes compares an element with the first classes of its key
+    # count one by one and finds the later ones by least rest. Group tables
+    # give many classes of one count (s = 1 on Z2^4 with r = 4 has 120 keys
+    # per element, so both ways are taken); a perturbed key gives elements
+    # of one count and least rest whose slices are not proportional; dense
+    # tables with no zero, or with weights 1 and 2, give counts shared by
+    # classes that differ
     rng = random.Random(4417)
+    tables = []
     for _ in range(30):
-        g = fx.random_tractable(rng, rng.randint(2, 7), rng.choice((3, 4)))
+        tables.append(fx.random_tractable(rng, rng.randint(2, 7), rng.choice((3, 4))))
+    for factors, s, r in (((2, 2, 2, 2), 1, 4), ((4, 4), 1, 3), ((2, 3), 2, 3), ((2, 2), 3, 3)):
+        group = fx.group_from_factors(*factors)
+        mu = [Fraction(1)] + [Fraction(rng.randint(2, 9), rng.randint(1, 9)) for _ in range(s - 1)]
+        g = fx.structured_family([(group, s, tuple(mu), rng.randrange(group.order), Fraction(3, 2))], r=r)
+        tables += [g, _shuffled(rng, g), _shuffled(rng, _perturbed(rng, g))]
+    for _ in range(40):
+        tables.append(_shuffled(rng, _perturbed(rng, fx.random_tractable(rng, rng.randint(3, 9), rng.choice((3, 4))))))
+    for _ in range(12):
+        q, r = rng.randint(3, 8), rng.choice((3, 4))
+        tables.append(fx.random_table(rng, q, r, zero_frac=0.0))
+        small = {k: Fraction(rng.randint(1, 2)) for k in combinations_with_replacement(range(q), r)
+                 if rng.random() < 0.6}
+        if small:
+            tables.append(SymFunc.from_weights(q, r, small))
+    for g in tables:
         comp = tuple(sorted({z for key in g.weights for z in key}))
         sc = sim_classes(g, comp)
         assert (sc.classes, sc.ratio) == dense_sim_classes(g, comp)
@@ -428,20 +472,6 @@ def test_group_stage_witnesses_name_classes_by_least_element():
 
 # ---------------------------------------------------------------------------
 # whole classifier against the dense stages
-
-
-def _perturbed(rng: random.Random, g: SymFunc) -> SymFunc:
-    weights = dict(g.weights)
-    support = sorted(weights)
-    move = rng.choice(("bump", "drop", "add"))
-    if move == "bump":
-        key = rng.choice(support)
-        weights[key] *= 2
-    elif move == "drop" and len(support) > 1:
-        del weights[rng.choice(support)]
-    else:
-        weights[tuple(sorted(rng.randrange(g.q) for _ in range(g.r)))] = Fraction(1)
-    return SymFunc.from_weights(g.q, g.r, weights)
 
 
 def test_classify_matches_dense_stages():
