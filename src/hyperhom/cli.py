@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from typing import Any
 
-from . import __version__
+from . import __version__, gadgets
 from .abelian import count_solutions_mod
 from .dichotomy import Classification, classify, latin_check, reconstruct_group, replay_witness
 from .evaluator import CapExceeded, eval_bruteforce, eval_tractable, evaluate, resolve_brute_cap
@@ -92,6 +92,11 @@ def _emit(command: str, status: str, payload: Any, started: float) -> None:
 
 
 def _classification_payload(cls: Classification) -> dict[str, Any]:
+    # the report lists every removed element, so a huge q with few kept
+    # elements is refused (exit 1) before the list is built
+    removed = cls.func.q - len(cls.kept)
+    if removed > gadgets.MAX_GADGET_ENTRIES:
+        raise ValueError(f"{removed} removed elements would pass {gadgets.MAX_GADGET_ENTRIES} entries")
     payload: dict[str, Any] = {
         "q": cls.func.q,
         "r": cls.func.r,

@@ -11,6 +11,18 @@ machine-checkable witness of the first failed check. replay_witness()
 reruns the stages on the witness's component: a witness replays exactly
 when they fail there with that witness, and in no other way.
 
+The last three stages run as one pass over the relation's members
+(_member_pass). It fills the group's dot table from the members whose
+first r-3 classes are the zero class; their prefixes are the
+lexicographically first block of all (r-1)-prefixes, so a bad cell there
+is the first Latin failure. At r > 3 it checks that every member sums to
+the target and that the relation has as many members as the equation has
+solutions (a Burnside count), which proves the relation Latin without
+indexing its prefixes. latin_check, reconstruct_group and equation_check
+run only where the pass cannot name the first failure: at r > 3 outside
+the zero block, or where the zero block has too few members to fill the
+table. So every witness is the one they name.
+
 The structures and witnesses classify() returns refer to elements by
 their original ids, so results can be read against the input table
 directly; the three group stages work on class ids only.
@@ -436,11 +448,13 @@ def latin_check(
     for prefix in combinations_with_replacement(range(m), r - 1):
         if prefix in index and prefix not in clashes:
             continue
-        completions = [c for c in range(m) if tuple(sorted(prefix + (c,))) in relation]
-        return HardnessWitness(
-            KIND_NOT_LATIN, (), {"prefix": list(prefix), "completions": completions}
-        )
+        return _not_latin(relation, prefix, m)
     raise ValueError("relation members must be sorted r-multisets of range(m)")
+
+
+def _not_latin(relation: frozenset[tuple[int, ...]], prefix: tuple[int, ...], m: int) -> HardnessWitness:
+    completions = [c for c in range(m) if tuple(sorted(prefix + (c,))) in relation]
+    return HardnessWitness(KIND_NOT_LATIN, (), {"prefix": list(prefix), "completions": completions})
 
 
 def reconstruct_group(
@@ -476,9 +490,16 @@ def reconstruct_group(
     dots = [[0] * m for _ in range(m)]
     for a, b in combinations_with_replacement(range(m), 2):
         dots[a][b] = dots[b][a] = dot(a, b)
+    return _group_of_dots(dots, zero)
+
+
+def _group_of_dots(dots: list[list[int]], zero: int) -> GroupStructure | HardnessWitness:
+    """The group reconstruct_group derives from a symmetric dot table, or
+    the witness of Light's test."""
     zsq = dots[zero][zero]
-    add = [[dots[zero][dots[a][b]] for b in range(m)] for a in range(m)]
-    neg = [dots[a][zsq] for a in range(m)]
+    row = dots[zero]
+    add = [[row[c] for c in dots_a] for dots_a in dots]
+    neg = [dots_a[zsq] for dots_a in dots]
     triple = first_nonassociative(add)
     if triple is not None:
         a, b, c = triple
@@ -487,7 +508,7 @@ def reconstruct_group(
             (),
             {"triple": [a, b, c], "left": add[add[a][b]][c], "right": add[a][add[b][c]]},
         )
-    group = AbelianGroup(m, tuple(map(tuple, add)), zero, tuple(neg))
+    group = AbelianGroup(len(dots), tuple(map(tuple, add)), zero, tuple(neg))
     return GroupStructure(group, zsq, decompose(group))
 
 
@@ -528,24 +549,152 @@ def _group_sum(group: AbelianGroup, classes: Sequence[int]) -> int:
     return total
 
 
+def _member_pass(
+    relation: frozenset[tuple[int, ...]], r: int, m: int
+) -> GroupStructure | HardnessWitness | None:
+    """The three group stages' result, read from the members in one pass,
+    or None where only the stages themselves can name the first failure.
+
+    The dot table is filled from the members whose first r-3 classes are
+    the zero class 0, the zero block: a member (0^(r-3), x, y, z) gives
+    dot(x, y) = z, dot(x, z) = y and dot(y, z) = x. These are exactly the
+    members that complete the prefixes (0^(r-3), a, b), so a cell with no
+    value or two is a prefix with no completion or several. The
+    zero-padded prefixes are the lexicographically first block of all
+    (r-1)-prefixes, so the least bad cell is latin_check's witness. A
+    member fills at most three of the m(m+1)/2 cells, so a block too small
+    to fill them all returns None before any table is built, and
+    latin_check names the witness; past that bound the m x m table is
+    linear in the relation.
+
+    A full fill is the table reconstruct_group reads from the completion
+    function, so the group (add, neg, a = dot(0, 0), Light's test and the
+    decomposition) is built the same way, by _group_of_dots. Identity and
+    inverses hold by reconstruct_group's argument, which reads only the
+    zero block, since each member fills all three of its cells; so they
+    are not checked.
+
+    At r = 3 every prefix is a pair, so the fill is the whole Latin check,
+    and every member sums to a: for a member (x, y, z), x + y =
+    dot(0, z), and dot(0, z) + z = dot(0, dot(dot(0, z), z)) = dot(0, 0),
+    as dot(0, z) completes (0, z). So equation_check has nothing to find
+    and the result is _group_of_dots's. At r > 3 the members outside the
+    zero block are not checked for Latinness. Instead every member must
+    sum to a, and the relation, then a subset of the solution set, must
+    have its size, counted by _solution_count; the solution set is Latin,
+    so it is the relation latin_check accepts and the group is the one the
+    stages build. A non-associative table, a failing member or a short
+    count returns None: a prefix outside the zero block may fail
+    latin_check first, and the stages find which.
+
+    O(|block|) for the fill, O(m^2 log m) for the group and, at r > 3,
+    O(|relation| * r) lookups for the sums; no prefix is indexed.
+    """
+    pad = (0,) * (r - 3)
+    block = relation if r == 3 else [alpha for alpha in relation if alpha[r - 4] == 0]
+    if 3 * len(block) < m * (m + 1) // 2:
+        return None
+    dots = [[-1] * m for _ in range(m)]
+    clashes: set[tuple[int, int]] = set()
+    for alpha in block:
+        x, y, z = alpha[-3:]
+        for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
+            row = dots[a]
+            if row[b] < 0:
+                row[b] = dots[b][a] = c
+            elif row[b] != c:
+                clashes.add((a, b))
+    if clashes or any(-1 in row for row in dots):
+        cell = next(
+            (a, b)
+            for a, row in enumerate(dots)
+            for b in range(a, m)
+            if row[b] < 0 or (a, b) in clashes
+        )
+        return _not_latin(relation, pad + cell, m)
+    gs = _group_of_dots(dots, 0)
+    if r == 3:
+        return gs
+    if isinstance(gs, HardnessWitness):
+        return None
+    add, a = gs.group.add_table, gs.a
+    for alpha in relation:
+        total = alpha[0]
+        for c in alpha[1:]:
+            total = add[total][c]
+        if total != a:
+            return None
+    if len(relation) != _solution_count(gs.decomposition, a, r):
+        return None
+    return gs
+
+
+def _solution_count(dec: CyclicDecomposition, a: int, r: int) -> int:
+    """Number of r-multisets of the group whose sum is a.
+
+    By Burnside over S_r acting on the r-tuples summing to a, it is
+    (1/r!) times the sum over permutations of their fixed tuples. A
+    permutation with k cycles of lengths l_1..l_k fixes the tuples constant
+    on its cycles, with sum(l_i * y_i) = a; over Z_d there are
+    d^(k-1) * gcd(g, d) of them when gcd(g, d) divides a's coordinate and
+    none otherwise, g = gcd(l_1..l_k). With m the group's order, that is
+    m^(k-1) * w(gcd(g, D)), where D is the largest invariant factor and
+    w(e) the product over the factors d of gcd(e, d), or 0 when some
+    gcd(e, d) misses a's coordinate. So the permutations are summed by e
+    = gcd(g, D), not one by one: those with every cycle length a multiple
+    of e sum m^(k-1) to r!/m * C(m/e + r/e - 1, r/e) (the permutations
+    of r/e points with k cycles, stretched e-fold, weighted (m/e)^k),
+    and those with gcd exactly e are these less the ones of each multiple
+    of e, taken from the largest e down. The cost is O(divisors of
+    gcd(D, r) squared), at any r.
+    """
+    factors = dec.factors
+    m = math.prod(factors)
+    top = math.gcd(factors[-1] if factors else 1, r)
+    exact: dict[int, int] = {}
+    total = 0
+    for e in reversed([e for e in range(1, top + 1) if top % e == 0]):
+        n = r // e
+        exact[e] = math.factorial(r) * math.comb(m // e + n - 1, n) - sum(
+            v for f, v in exact.items() if f % e == 0
+        )
+        gcds = [math.gcd(e, d) for d in factors]
+        if all(c % h == 0 for c, h in zip(dec.iso[a], gcds)):
+            total += exact[e] * math.prod(gcds)
+    return total // (math.factorial(r) * m)
+
+
+def _group_stages(
+    relation: frozenset[tuple[int, ...]], r: int, m: int
+) -> GroupStructure | HardnessWitness:
+    """latin_check, reconstruct_group and equation_check in turn."""
+    completion = latin_check(relation, r, m)
+    if isinstance(completion, HardnessWitness):
+        return completion
+    gs = reconstruct_group(completion, r, m)
+    if isinstance(gs, HardnessWitness):
+        return gs
+    w = equation_check(completion, gs)
+    return gs if w is None else w
+
+
 def _classify_component(g: SymFunc, comp: Sequence[int]) -> ComponentStructure | HardnessWitness:
-    """Run the five stages on one domain component: the structure, or the
+    """Run the stages on one domain component: the structure, or the
     witness of the first failed stage. Each stage is called by its module
     name, so a wrapper installed on the module sees every call. The group
+    stages run as _member_pass, and latin_check, reconstruct_group and
+    equation_check run only where it leaves the witness to them. The group
     stages name classes by id; this is the one place their witness is
     moved onto comp, each class id c becoming its least element reps[c]."""
     fs = check_product_structure(g, sim_classes(g, comp))
     if isinstance(fs, HardnessWitness):
         return fs
     m = len(fs.classes)
-    completion = latin_check(fs.relation, g.r, m)
-    if isinstance(completion, HardnessWitness):
-        w = completion
-    else:
-        gr = reconstruct_group(completion, g.r, m)
-        w = gr if isinstance(gr, HardnessWitness) else equation_check(completion, gr)
-        if w is None:
-            return ComponentStructure(fs, gr)
+    w = _member_pass(fs.relation, g.r, m)
+    if w is None:
+        w = _group_stages(fs.relation, g.r, m)
+    if isinstance(w, GroupStructure):
+        return ComponentStructure(fs, w)
     reps = fs.reps
     evidence = {
         key: [reps[c] for c in v] if isinstance(v, list) else reps[v]
@@ -561,10 +710,17 @@ def classify(g: SymFunc) -> Classification:
     components, and on each component runs five stages: similarity
     classes, product structure, Latin check, group reconstruction,
     equation check. The product structure implies the factoring identity
-    (see check_product_structure), so it is not checked again. The Latin
-    check hands the relation's completion function to the two group
-    stages. The first failure becomes the witness; otherwise the
-    per-component structures are returned.
+    (see check_product_structure), so it is not checked again. The last
+    three stages are one pass over the relation's members (_member_pass):
+    the dot table from the zero block, whose bad cell is the first Latin
+    failure; the group; at r > 3 the target sum of every member and the
+    Burnside count of the solutions, which proves the relation Latin. So
+    a tractable component builds no completion index. Where the pass
+    cannot name the first failure (r > 3, outside the zero block, or a
+    zero block too small to fill the table), latin_check,
+    reconstruct_group and equation_check name it. The first failure
+    becomes the witness; otherwise the per-component structures are
+    returned.
 
     Kept elements and the components come from g.support_index on
     original ids, as prune_domain and domain_components read them, with no

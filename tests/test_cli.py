@@ -204,6 +204,30 @@ def test_gadgets_refuse_reports_past_the_entry_bound(tmp_path, capsys):
     assert vertex_power(Hypergraph(huge, ()), 2).maps == {"pendants_per_vertex": []}
 
 
+def test_classify_refuses_a_removed_list_past_the_entry_bound(tmp_path, capsys, monkeypatch):
+    # the report lists every removed element, so at q = 10^20 with one key
+    # classify refuses (exit 1) where it ran out of memory listing them
+    huge = tmp_path / "huge.sf"
+    huge.write_text(f"symfunc v1\nq {10**20}\nr 3\n0 0 0 = 1\n")
+    started = time.perf_counter()
+    code, report, _ = run_cli(capsys, "classify", "-g", str(huge))
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert report["payload"]["message"] == f"{10**20 - 1} removed elements would pass {MAX_GADGET_ENTRIES} entries"
+    # on both sides of the bound: 10 removed elements are listed, 11 refused
+    monkeypatch.setattr(hyperhom.gadgets, "MAX_GADGET_ENTRIES", 10)
+    for q, want in ((11, 0), (12, 1)):
+        g = tmp_path / f"q{q}.sf"
+        g.write_text(f"symfunc v1\nq {q}\nr 3\n0 0 0 = 1\n")
+        code, report, _ = run_cli(capsys, "classify", "-g", str(g))
+        assert code == want
+        if want:
+            assert report["payload"]["message"] == "11 removed elements would pass 10 entries"
+        else:
+            assert report["status"] == "tractable"
+            assert report["payload"]["removed"] == list(range(1, 11))
+
+
 def test_eval_brute_deeper_than_recursion_limit(files, tmp_path, capsys):
     # a loose path with 600 edges: a plan 1200 deep; its 600 even-sum
     # constraints are independent over Z2, so Z = 2^(1201 - 600)

@@ -384,15 +384,20 @@ def test_replay_confirms_doctored_equation_witness_false():
 
 def test_classify_runs_each_stage_once_per_component(monkeypatch):
     # perfbench times the stages by wrapping these module names; a
-    # refactor that bypasses them would make its per-layer metrics read 0
+    # refactor that bypasses them would make its per-layer metrics read 0.
+    # The member pass decides a tractable component and names an r = 3
+    # witness alone; the three group stages run only to name a witness the
+    # pass cannot place first at r > 3.
     names = (
         "sim_classes",
         "check_product_structure",
+        "_member_pass",
         "latin_check",
         "reconstruct_group",
         "equation_check",
         "_completion_index",
     )
+    group_stages = names[3:]
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
@@ -411,17 +416,24 @@ def test_classify_runs_each_stage_once_per_component(monkeypatch):
         (fx.group_from_factors(3), 2, (Fraction(1), Fraction(2)), 0, Fraction(1, 2)),
         (fx.group_from_factors(), 1, (Fraction(1),), 0, Fraction(3)),
     ]
-    for r in (3, 4):
+    for r in (3, 4, 5):
         calls.update(dict.fromkeys(names, 0))
         cls = classify(fx.structured_family(blocks, r=r))
         assert cls.tractable and len(cls.components) == 3
-        assert calls == dict.fromkeys(names, 3)
-    # a replay reruns one component's stages, each at most once
+        assert calls == {**dict.fromkeys(names, 3), **dict.fromkeys(group_stages, 0)}
+    # a replay reruns one component's stages, each at most once: an r = 4
+    # equation mismatch outside the zero block goes on to the group stages,
+    # r = 3 witnesses stop at the pass
     g = _equation_mismatch_table()
     w = classify(g).witness
     calls.update(dict.fromkeys(names, 0))
     assert replay_witness(g, w)
     assert calls == dict.fromkeys(names, 1)
+    for g in (fx.not_all_zero(), fx.steiner_fano()):
+        w = classify(g).witness
+        calls.update(dict.fromkeys(names, 0))
+        assert replay_witness(g, w)
+        assert calls == {**dict.fromkeys(names, 1), **dict.fromkeys(group_stages, 0)}
 
 
 def test_classify_random_structured_families():

@@ -8,18 +8,22 @@ scans, written out here: the m^3 lex scan for associativity, every
 every input the two must agree, down to the witness evidence. The
 factoring identity is itself the full scan over all s^r index vectors per
 relation member (verify_factoring_identity); its witnesses are checked
-against the table they name.
+against the table they name. classify's member pass is checked against the
+three stages it stands in for, and its solution count against enumeration.
 """
 
 import math
 import random
+import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperhom import fixtures as fx
+from hyperhom import dichotomy, fixtures as fx
 from hyperhom.abelian import (
     AbelianGroup,
     _verify_decomposition,
@@ -30,7 +34,9 @@ from hyperhom.dichotomy import (
     KIND_FACTORING_IDENTITY_VIOLATION,
     FactorStructure,
     GroupStructure,
+    _solution_count,
     check_product_structure,
+    classify,
     equation_check,
     latin_check,
     reconstruct_group,
@@ -39,6 +45,7 @@ from hyperhom.dichotomy import (
     verify_factoring_identity,
 )
 from hyperhom.exactcore import format_rational
+from hyperhom.gadgets import relation_to_symfunc
 from hyperhom.model import SymFunc, domain_components, prune_domain
 
 # ---------------------------------------------------------------------------
@@ -451,3 +458,165 @@ def test_decomposition_check_rejects_bad_coordinates():
             _verify_decomposition(group, dec.factors, iso)
     with pytest.raises(ValueError, match="not a group"):
         _verify_decomposition(group, (4,), tuple((x,) for x in range(4)))
+
+
+# ---------------------------------------------------------------------------
+# the member pass
+
+
+ORDER_AT_MOST_12 = [
+    (), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
+    (9,), (3, 3), (10,), (11,), (12,), (2, 6),
+]
+
+
+def test_solution_count_matches_enumeration():
+    # every Abelian group of order <= 12, r = 3..6, every target; then long
+    # arities, where summing over cycle types one by one would take p(r) terms
+    cases = [(f, r) for f in ORDER_AT_MOST_12 for r in range(3, 7)]
+    cases += [((2,), 60), ((3,), 41), ((4,), 30), ((2, 2), 24), ((6,), 12)]
+    checked = 0
+    for factors, r in cases:
+        group = fx.group_from_factors(*factors)
+        dec = decompose(group)
+        sums = Counter()
+        for alpha in combinations_with_replacement(range(group.order), r):
+            total = group.zero
+            for c in alpha:
+                total = group.add(total, c)
+            sums[total] += 1
+        for a in range(group.order):
+            assert _solution_count(dec, a, r) == sums[a], (factors, r, a)
+            checked += 1
+    assert checked == 4 * sum(math.prod(f) for f in ORDER_AT_MOST_12) + 2 + 3 + 4 + 4 + 6
+
+
+def _outcome(g: SymFunc):
+    cls = classify(g)
+    if cls.tractable:
+        for comp in cls.components:
+            # identity, inverses, commutativity and associativity, all checked
+            AbelianGroup.from_add_table(comp.group.group.add_table)
+        return "tractable", [
+            (
+                c.factor.classes,
+                c.factor.relation,
+                c.group.group.add_table,
+                c.group.group.neg_table,
+                c.group.a,
+                c.group.decomposition,
+            )
+            for c in cls.components
+        ]
+    return cls.witness.kind, cls.witness.component, cls.witness.evidence
+
+
+def _perturbed_key(rng: random.Random, g: SymFunc) -> SymFunc:
+    """g with one or two keys dropped, one key added, or one moved."""
+    weights = dict(g.weights)
+    move = rng.choice(("drop", "drop2", "add", "move"))
+    for _ in range({"drop": 1, "drop2": 2, "add": 0, "move": 1}[move]):
+        if len(weights) > 1:
+            del weights[rng.choice(sorted(weights))]
+    if move in ("add", "move"):
+        weights[tuple(sorted(rng.randrange(g.q) for _ in range(g.r)))] = Fraction(1)
+    return SymFunc.from_weights(g.q, g.r, weights)
+
+
+def latin_relations(m: int, r: int) -> list[frozenset]:
+    """Every Latin relation of sorted r-multisets of range(m), by
+    backtracking over the (r-1)-prefixes in lex order."""
+    prefixes = list(combinations_with_replacement(range(m), r - 1))
+    out = []
+
+    def extend(i, members, completion):
+        while i < len(prefixes) and prefixes[i] in completion:
+            i += 1
+        if i == len(prefixes):
+            out.append(frozenset(members))
+            return
+        for c in range(m):
+            alpha = tuple(sorted(prefixes[i] + (c,)))
+            sub = {alpha[:j] + alpha[j + 1 :]: alpha[j] for j in range(r)}
+            if not completion.keys() & sub.keys():
+                extend(i + 1, members | {alpha}, {**completion, **sub})
+
+    extend(0, frozenset(), {})
+    return out
+
+
+def _chain(q, r):
+    """Weight 1 on the keys (i, ..., i + r - 1): one connected component of
+    q singleton classes, Latin nowhere, with a zero block of one member."""
+    return relation_to_symfunc(frozenset(tuple(range(i, i + r)) for i in range(q - r + 1)), q, r)
+
+
+def test_member_pass_matches_the_group_stages(monkeypatch):
+    # classify decides the group stages by _member_pass and runs
+    # latin_check, reconstruct_group and equation_check only where the pass
+    # returns None; with the pass forced to return None, every component
+    # takes the stages. Both must give the same verdict, structure, witness
+    # kind and evidence: on every nonzero 0/1 table at (q, r) = (3, 3),
+    # (2, 4) and (2, 5), on seeded 0/1 tables at (3, 4), (4, 3) and (4, 4),
+    # on group tables with keys dropped, added or moved at r = 3, 4 and 5,
+    # on every Latin relation at (m, r) = (4, 3), (5, 3), (4, 4),
+    # (5, 4) and (4, 5), plus steiner_fano, and on chains of many classes
+    tables = []
+    for q, r in ((3, 3), (2, 4), (2, 5)):
+        keys = list(combinations_with_replacement(range(q), r))
+        for mask in range(1, 2 ** len(keys)):
+            tables.append(relation_to_symfunc(
+                frozenset(k for i, k in enumerate(keys) if mask >> i & 1), q, r
+            ))
+    rng = random.Random(4417)
+    for q, r, count in ((3, 4, 300), (4, 3, 300), (4, 4, 300)):
+        keys = list(combinations_with_replacement(range(q), r))
+        for _ in range(count):
+            chosen = frozenset(k for k in keys if rng.random() < 0.4) or frozenset(keys[:1])
+            tables.append(relation_to_symfunc(chosen, q, r))
+    for factors in ((2, 2), (4,), (5,), (2, 3), (2, 4), (3, 3)):
+        group = fx.group_from_factors(*factors)
+        for r in (3, 4, 5):
+            for _ in range(8 if group.order ** (r - 1) < 2000 else 3):
+                a = rng.randrange(group.order)
+                base = fx.structured_family([(group, 1, (Fraction(1),), a, Fraction(1))], r=r)
+                tables.append(_perturbed_key(rng, base))
+    for m, r in ((4, 3), (5, 3), (4, 4), (5, 4), (4, 5)):
+        tables += [relation_to_symfunc(rel, m, r) for rel in latin_relations(m, r)]
+    tables.append(fx.steiner_fano())
+    tables += [_chain(q, r) for r in (3, 4, 5) for q in range(r + 2, r + 9)]
+    seen = Counter()
+    for g in tables:
+        got = _outcome(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(dichotomy, "_member_pass", lambda relation, r, m: None)
+            want = _outcome(g)
+        assert got == want, sorted(g.weights)
+        seen[got[0], g.r] += 1
+    assert seen["tractable", 3] and seen["NotLatin", 3] and seen["NotAssociative", 3], seen
+    assert seen["tractable", 4] and seen["NotLatin", 4] and seen["EquationMismatch", 4], seen
+    assert seen["tractable", 5] and seen["NotLatin", 5] and seen["EquationMismatch", 5], seen
+    # at r = 3 every member of a Latin relation sums to the derived target
+    # (the proof is _member_pass's), so the stages never find a mismatch
+    assert not seen["EquationMismatch", 3], seen
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_member_pass_builds_no_table_for_a_sparse_zero_block(r):
+    # a chain has q classes and q - r + 1 members, so its zero block cannot
+    # fill the q x q dot table; the pass must leave the witness to
+    # latin_check before allocating the table, in time and memory linear in
+    # the table, and the witness must replay
+    g = _chain(2000, r)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        result = classify(g)
+        assert replay_witness(g, result.witness)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.witness.kind == "NotLatin"
+    assert result.witness.evidence == {"prefix": [0] * (r - 1), "completions": []}
+    assert elapsed < 5 and peak < 16 * 10**6, (elapsed, peak)
