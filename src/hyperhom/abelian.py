@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Sequence
 
 from .exactcore import IntMatrix
@@ -137,10 +138,13 @@ def first_nonassociative(table: Sequence[Sequence[int]]) -> tuple[int, int, int]
                 row_y = table[y]
                 stack += [row_y[g] for g in gens] + [table[g][y] for g in gens]
     for b in gens:
-        row_b = tuple(table[b])
+        # x+(b+y) for every y, read as one row; an itemgetter of one index
+        # would return a bare value, so m = 1 builds its one-entry row
+        row_b = table[b]
+        across = itemgetter(*row_b) if m > 1 else lambda row: (row[row_b[0]],)
         for x in range(m):
             row_x = table[x]
-            if tuple(table[row_x[b]]) != tuple([row_x[t] for t in row_b]):
+            if tuple(table[row_x[b]]) != across(row_x):
                 return _lex_first_nonassociative(table)
     return None
 

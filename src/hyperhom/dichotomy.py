@@ -174,6 +174,7 @@ class Classification:
         return self.func.support_index.removed
 
 
+_ONE = Fraction(1)  # every class's first ratio, one object, so equal norms compare by identity
 _KEYS_PER_COMPARE = 32  # a failed slice comparison costs about what min() pays for this many keys
 
 
@@ -256,7 +257,7 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
         else:
             cls = [z]
             classes.append(cls)
-            ratio[z] = Fraction(1)
+            ratio[z] = _ONE
             home.append(cls)
     return SimClasses(comp, tuple(tuple(c) for c in classes), ratio)
 
@@ -272,11 +273,24 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     differs. The members whose least class is c are the keys
     g.support_index lists under c's representative that hold otherwise
     only representatives of classes >= c, and visiting the groups by c,
-    each sorted, gives the sorted order of the whole relation. A group
-    whose values all equal the constant has no mismatch to name, so it is
-    not sorted. A witness reads only the groups up to its member's, and a
-    structure reads each key of the component at most r times:
-    O(|component support| * r), not O(|support|), per component.
+    each sorted, gives the sorted order of the whole relation. The
+    constant is the value of the least member of the first nonempty group,
+    found by min(), and a group whose values all equal it has no mismatch
+    to name, so it is not sorted. A witness reads only the groups up to
+    its member's, and a structure reads each key of the component at most
+    r times: O(|component support| * r), not O(|support|), per component.
+    A class's ratios are divided by their least only when it is below 1,
+    the ratio of the class's least member.
+
+    How a key is read depends on the representatives. When the index-0
+    representatives are 0..m-1 in class order, as on a group table with
+    s = 1 whose component starts at 0, every element below m is one, so a
+    key under c's representative is in c's group exactly when its least
+    element is c and its greatest is below m, and the sorted key is its
+    own class multiset: two comparisons per key, no relabelling, sort or
+    set test. Otherwise each key is tested against the set of
+    representatives of classes >= c and mapped to its sorted class ids,
+    O(r log r) per key. Both read the same members in the same order.
 
     A returned structure satisfies the factoring identity on every key of
     the component, so verify_factoring_identity has nothing left to find.
@@ -313,8 +327,11 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     ordered: list[tuple[int, ...]] = []
     norm_sets: list[tuple[Fraction, ...]] = []
     for cls in sc.classes:
-        low = min(sc.ratio[z] for z in cls)
-        pairs = sorted((sc.ratio[z] / low, z) for z in cls)
+        ratios = [sc.ratio[z] for z in cls]
+        low = min(ratios)
+        if low != 1:  # a class's least member has ratio 1; divide only when another is lower
+            ratios = [t / low for t in ratios]
+        pairs = sorted(zip(ratios, cls))
         ordered.append(tuple(z for _, z in pairs))
         norm_sets.append(tuple(t for t, _ in pairs))
     for cls, norms in zip(sc.classes[1:], norm_sets[1:]):
@@ -331,6 +348,8 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
             )
     mu = norm_sets[0]
     reps = [members[0] for members in ordered]
+    m = len(reps)
+    same_ids = reps == list(range(m))
     class_id = {rep: c for c, rep in enumerate(reps)}.__getitem__
     holders = g.support_index.holders
     table = g.weights
@@ -340,18 +359,21 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     later = set(reps)  # the representatives of classes >= c
     for c, rep in enumerate(reps):
         # the members whose least class is c
-        group = {
-            tuple(sorted(map(class_id, key))): table[key]
-            for key in filter(later.issuperset, holders[rep])
-        }
-        later.discard(rep)
+        if same_ids:  # a sorted key of representatives >= c is its own class multiset
+            keys = alphas = [key for key in holders[rep] if key[0] == rep and key[-1] < m]
+        else:
+            keys = list(filter(later.issuperset, holders[rep]))
+            alphas = [tuple(sorted(map(class_id, key))) for key in keys]
+            later.discard(rep)
+        values = list(map(table.__getitem__, keys))
+        # the members are distinct, so min() and sorted() compare no values
+        if constant is None and alphas:  # the least member of the relation
+            first_key, constant = min(zip(alphas, values))
         # count() compares by identity first, so a group that agrees costs no
         # sort and, where equal weights share one object, no Fraction compare
-        if constant is None or list(group.values()).count(constant) != len(group):
-            for alpha, v in sorted(group.items()):  # distinct members: no value is compared
-                if constant is None:
-                    constant, first_key = v, alpha
-                elif v != constant:
+        if values.count(constant) != len(values):
+            for alpha, v in sorted(zip(alphas, values)):
+                if v != constant:
                     return HardnessWitness(
                         KIND_REP_VALUE_INCONSISTENT,
                         sc.component,
@@ -362,7 +384,7 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
                             "value_b": format_rational(v),
                         },
                     )
-        relation.update(group)
+        relation.update(alphas)
     if constant is None:
         raise ValueError("component carries no nonzero weight; prune the domain first")
     return FactorStructure(

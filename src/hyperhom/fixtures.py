@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Sequence
@@ -60,12 +61,17 @@ def structured_family(
     0 otherwise. junk appends elements with no nonzero weight at the end
     (they must be pruned away by classification).
 
-    Only the support is built: every sorted (r-1)-multiset of classes is
-    completed by a - (its sum) when that class is at least its last one,
-    and each class multiset is expanded into its index multisets. The
-    cost is O(order^(r-1) + |support| * r), and keys are inserted in
-    sorted order, so the keys are sorted, in range and nonzero by
-    construction and the table is not validated again.
+    Only the support is built. The last two classes (x, y), x <= y, of a
+    member are listed once under their sum, by x, so each sorted
+    (r-2)-multiset of classes reads its completions, those with x at
+    least its last class, from the row of a - (its sum): O(order^2 +
+    order^(r-2)) group lookups, not a sum per (r-1)-multiset. A member's
+    keys take every sorted index multiset in each run of one class; where
+    x starts a new run they are the prefix's expansions times the pair's,
+    each expanded once. Keys with the same multiset of indices share one
+    weight. Beyond that the cost is O(|support| * r), and keys are
+    inserted in sorted order, so the keys are sorted, in range and
+    nonzero by construction and the table is not validated again.
     """
     if r < 3:
         raise ValueError(f"arity must be at least 3, got {r}")
@@ -87,33 +93,53 @@ def structured_family(
         raise ValueError(f"domain size must be positive, got {q}")
     weights: dict[tuple[int, ...], Fraction] = {}
     for off, group, s, mu, a, constant in layout:
-        # index multisets of each size with their weight prod mu[index]
+        # an index multiset is coded as the sum of (r+1)^index over its indices;
+        # cells[c][n] lists class c's runs of n sorted indices as (elements, code)
         runs = [
-            [(idx, math.prod(mu[i] for i in idx))
-             for idx in combinations_with_replacement(range(s), n)]
+            [(idx, sum((r + 1) ** i for i in idx)) for idx in combinations_with_replacement(range(s), n)]
             for n in range(r + 1)
         ]
+        shared = {code: math.prod((mu[i] for i in idx), start=constant) for idx, code in runs[r]}
+        cells = [
+            [[(tuple(off + c * s + i for i in idx), code) for idx, code in run] for run in runs]
+            for c in range(group.order)
+        ]
+
+        def expand(classes: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+            """The keys of a sorted class multiset, with their index codes."""
+            out = []
+            for parts in product(*[cells[c][classes.count(c)] for c in dict.fromkeys(classes)]):
+                key: tuple[int, ...] = ()
+                code = 0
+                for elems, k in parts:
+                    key += elems
+                    code += k
+                out.append((key, code))
+            return out
+
+        add, neg, m = group.add_table, group.neg_table, group.order
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # by sum, then by x
+        for x in range(m):
+            for y in range(x, m):
+                pairs[add[x][y]].append((x, y))
+        firsts = [[x for x, _ in row] for row in pairs]
+        tails: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}  # each pair's, once used
         block: list[tuple[tuple[int, ...], Fraction]] = []
-        for prefix in combinations_with_replacement(range(group.order), r - 1):
+        for prefix in combinations_with_replacement(range(m), r - 2):
             total = group.zero
             for c in prefix:
-                total = group.add(total, c)
-            last = group.add(a, group.neg(total))
-            if prefix and last < prefix[-1]:
-                continue
-            alpha = prefix + (last,)
-            # one run of sorted indices per distinct class, classes ascending
-            per_class = [
-                [(tuple(off + c * s + i for i in idx), w) for idx, w in runs[alpha.count(c)]]
-                for c in dict.fromkeys(alpha)
-            ]
-            for parts in product(*per_class):
-                key: tuple[int, ...] = ()
-                w = constant
-                for elems, weight in parts:
-                    key += elems
-                    w *= weight
-                block.append((key, w))
+                total = add[total][c]
+            v = add[a][neg[total]]
+            i = bisect_left(firsts[v], prefix[-1])
+            if i < len(firsts[v]) and firsts[v][i] == prefix[-1]:  # x extends the prefix's last run
+                block += [(key, shared[code]) for key, code in expand(prefix + pairs[v][i])]
+                i += 1
+            head = expand(prefix)
+            for xy in pairs[v][i:]:
+                tail = tails.get(xy)
+                if tail is None:
+                    tail = tails[xy] = expand(xy)
+                block += [(hk + tk, shared[hc + tc]) for tk, tc in tail for hk, hc in head]
         block.sort()
         weights.update(block)
     return SymFunc(q, r, weights)

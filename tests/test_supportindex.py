@@ -10,6 +10,7 @@ removed, components, structures and witness.
 
 import random
 import time
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -260,6 +261,20 @@ def seeded_tables(seed):
         block = (group, s, mu, rng.randrange(group.order), Fraction(1))
         base = fx.structured_family([block], r=rng.choice((3, 4)))
         tables.append(_rescaled_member(rng, _relabelled(rng, base)))
+    # s >= 2 with class c = {c, m + c, ...}: the index-0 representatives are
+    # 0..m-1 in class order, so the keys are read as class multisets as they
+    # are, and those holding another member must be left out
+    for _ in range(8):
+        group = fx.group_from_factors(*rng.choice([(3,), (2, 2), (4,)]))
+        m, s = group.order, rng.choice((2, 3))
+        mu = [Fraction(1)] + sorted(Fraction(rng.randint(2, 5)) for _ in range(s - 1))
+        block = (group, s, mu, rng.randrange(m), Fraction(rng.randint(1, 4), 3))
+        base = fx.structured_family([block], r=rng.choice((3, 4)))
+        # element c * s + i becomes c + i * m
+        base = SymFunc(base.q, base.r, {
+            tuple(sorted(z % s * m + z // s for z in key)): w for key, w in base.weights.items()
+        })
+        tables += [base, _rescaled_member(rng, base)]
     return tables
 
 
@@ -296,9 +311,19 @@ def _late_mismatch_off_least(g, w):
     )
 
 
+def _same_ids(g, component):
+    """Whether the component's index-0 representatives are 0..m-1 in
+    class order, the case where the relation is read off the keys without
+    relabelling them."""
+    sc = rescan_sim_classes(g, component)
+    reps = [min(cls, key=lambda z: (sc.ratio[z], z)) for cls in sc.classes]
+    return reps == list(range(len(reps)))
+
+
 def test_classify_matches_rescanning_pipeline():
     kinds = set()
     tractable = late = 0
+    read = Counter()  # (same ids, outcome) of each component whose relation was read
     for g in seeded_tables(2718):
         cls = classify(g)
         kept, removed, structures, witness = rescan_classify(g)
@@ -308,11 +333,16 @@ def test_classify_matches_rescanning_pipeline():
         assert cls.tractable == (witness is None)
         if witness is None:
             tractable += 1
+            read.update((_same_ids(g, c.factor.component), "structure") for c in structures)
         else:
             kinds.add(witness.kind)
             late += _late_mismatch_off_least(g, witness)
             assert replay_witness(g, cls.witness)
+            if witness.kind == KIND_REP_VALUE_INCONSISTENT:
+                read[_same_ids(g, witness.component), witness.kind] += 1
     assert tractable >= 40 and len(kinds) >= 5 and late >= 5, (tractable, kinds, late)
+    outcomes = ("structure", KIND_REP_VALUE_INCONSISTENT)
+    assert all(read[same, outcome] >= 3 for same in (True, False) for outcome in outcomes), read
 
 
 class CountingWeights(Mapping):
