@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from operator import itemgetter
 from typing import Sequence
 
@@ -81,15 +80,15 @@ class AbelianGroup:
         """Direct sum, coordinatewise: element x is the x-th coordinate tuple
         in itertools.product order (the last coordinate varies fastest), and
         the empty sum is the order-1 group."""
-        coords = list(product(*(range(g.order) for g in groups)))
-        index = {c: x for x, c in enumerate(coords)}
-        table = tuple(
-            tuple(index[tuple(map(AbelianGroup.add, groups, ca, cb))] for cb in coords)
-            for ca in coords
-        )
-        zero = index[tuple(g.zero for g in groups)]
-        neg = tuple(index[tuple(map(AbelianGroup.neg, groups, c))] for c in coords)
-        return AbelianGroup(len(coords), table, zero, neg)
+        table, zero, neg = ((0,),), 0, (0,)
+        for h in groups:  # a sum element x and an h element y become x * h.order + y
+            n = h.order
+            table = tuple(
+                tuple(x * n + y for x in row for y in row_h) for row in table for row_h in h.add_table
+            )
+            zero = zero * n + h.zero
+            neg = tuple(x * n + y for x in neg for y in h.neg_table)
+        return AbelianGroup(len(table), table, zero, neg)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

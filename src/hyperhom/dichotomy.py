@@ -18,10 +18,10 @@ lexicographically first block of all (r-1)-prefixes, so a bad cell there
 is the first Latin failure. At r > 3 it checks that every member sums to
 the target and that the relation has as many members as the equation has
 solutions (a Burnside count), which proves the relation Latin without
-indexing its prefixes. latin_check, reconstruct_group and equation_check
-run only where the pass cannot name the first failure: at r > 3 outside
-the zero block, or where the zero block has too few members to fill the
-table. So every witness is the one they name.
+indexing its prefixes. Where that proof fails, or the zero block cannot
+fill the table, latin_check names the first Latin failure, and on a Latin
+relation the pass names the failure on its own group; so every witness
+is the one the three stages name in turn.
 
 The structures and witnesses classify() returns refer to elements by
 their original ids, so results can be read against the input table
@@ -573,9 +573,8 @@ def _group_sum(group: AbelianGroup, classes: Sequence[int]) -> int:
 
 def _member_pass(
     relation: frozenset[tuple[int, ...]], r: int, m: int
-) -> GroupStructure | HardnessWitness | None:
-    """The three group stages' result, read from the members in one pass,
-    or None where only the stages themselves can name the first failure.
+) -> GroupStructure | HardnessWitness:
+    """The three group stages' result, read from the members in one pass.
 
     The dot table is filled from the members whose first r-3 classes are
     the zero class 0, the zero block: a member (0^(r-3), x, y, z) gives
@@ -585,9 +584,9 @@ def _member_pass(
     zero-padded prefixes are the lexicographically first block of all
     (r-1)-prefixes, so the least bad cell is latin_check's witness. A
     member fills at most three of the m(m+1)/2 cells, so a block too small
-    to fill them all returns None before any table is built, and
-    latin_check names the witness; past that bound the m x m table is
-    linear in the relation.
+    to fill them all leaves some zero-padded prefix with no completion:
+    latin_check names it, and no table is built. Past that bound the m x m
+    table is linear in the relation.
 
     A full fill is the table reconstruct_group reads from the completion
     function, so the group (add, neg, a = dot(0, 0), Light's test and the
@@ -605,17 +604,20 @@ def _member_pass(
     sum to a, and the relation, then a subset of the solution set, must
     have its size, counted by _solution_count; the solution set is Latin,
     so it is the relation latin_check accepts and the group is the one the
-    stages build. A non-associative table, a failing member or a short
-    count returns None: a prefix outside the zero block may fail
-    latin_check first, and the stages find which.
+    stages build. Otherwise latin_check runs first, as a prefix outside
+    the zero block may fail it. On a Latin relation the completions of the
+    zero-padded prefixes are the fill, so this group or witness is
+    reconstruct_group's, and equation_check finds a mismatch on it: a
+    Latin relation inside the solution set is the solution set.
 
     O(|block|) for the fill, O(m^2 log m) for the group and, at r > 3,
-    O(|relation| * r) lookups for the sums; no prefix is indexed.
+    O(|relation| * r) lookups for the sums; a tractable relation indexes
+    no prefix.
     """
     pad = (0,) * (r - 3)
     block = relation if r == 3 else [alpha for alpha in relation if alpha[r - 4] == 0]
     if 3 * len(block) < m * (m + 1) // 2:
-        return None
+        return latin_check(relation, r, m)
     dots = [[-1] * m for _ in range(m)]
     clashes: set[tuple[int, int]] = set()
     for alpha in block:
@@ -637,18 +639,22 @@ def _member_pass(
     gs = _group_of_dots(dots, 0)
     if r == 3:
         return gs
+    if isinstance(gs, GroupStructure) and len(relation) == _solution_count(gs.decomposition, gs.a, r):
+        add, a = gs.group.add_table, gs.a
+        for alpha in relation:
+            total = alpha[0]
+            for c in alpha[1:]:
+                total = add[total][c]
+            if total != a:
+                break
+        else:
+            return gs
+    completion = latin_check(relation, r, m)
+    if isinstance(completion, HardnessWitness):
+        return completion
     if isinstance(gs, HardnessWitness):
-        return None
-    add, a = gs.group.add_table, gs.a
-    for alpha in relation:
-        total = alpha[0]
-        for c in alpha[1:]:
-            total = add[total][c]
-        if total != a:
-            return None
-    if len(relation) != _solution_count(gs.decomposition, a, r):
-        return None
-    return gs
+        return gs
+    return equation_check(completion, gs)
 
 
 def _solution_count(dec: CyclicDecomposition, a: int, r: int) -> int:
@@ -686,35 +692,18 @@ def _solution_count(dec: CyclicDecomposition, a: int, r: int) -> int:
     return total // (math.factorial(r) * m)
 
 
-def _group_stages(
-    relation: frozenset[tuple[int, ...]], r: int, m: int
-) -> GroupStructure | HardnessWitness:
-    """latin_check, reconstruct_group and equation_check in turn."""
-    completion = latin_check(relation, r, m)
-    if isinstance(completion, HardnessWitness):
-        return completion
-    gs = reconstruct_group(completion, r, m)
-    if isinstance(gs, HardnessWitness):
-        return gs
-    w = equation_check(completion, gs)
-    return gs if w is None else w
-
-
 def _classify_component(g: SymFunc, comp: Sequence[int]) -> ComponentStructure | HardnessWitness:
     """Run the stages on one domain component: the structure, or the
     witness of the first failed stage. Each stage is called by its module
     name, so a wrapper installed on the module sees every call. The group
-    stages run as _member_pass, and latin_check, reconstruct_group and
-    equation_check run only where it leaves the witness to them. The group
-    stages name classes by id; this is the one place their witness is
-    moved onto comp, each class id c becoming its least element reps[c]."""
+    stages run as _member_pass, which calls latin_check and equation_check
+    only to name a witness its dot table cannot. The group stages name
+    classes by id; this is the one place their witness is moved onto comp,
+    each class id c becoming its least element reps[c]."""
     fs = check_product_structure(g, sim_classes(g, comp))
     if isinstance(fs, HardnessWitness):
         return fs
-    m = len(fs.classes)
-    w = _member_pass(fs.relation, g.r, m)
-    if w is None:
-        w = _group_stages(fs.relation, g.r, m)
+    w = _member_pass(fs.relation, g.r, len(fs.classes))
     if isinstance(w, GroupStructure):
         return ComponentStructure(fs, w)
     reps = fs.reps
@@ -737,17 +726,16 @@ def classify(g: SymFunc) -> Classification:
     the dot table from the zero block, whose bad cell is the first Latin
     failure; the group; at r > 3 the target sum of every member and the
     Burnside count of the solutions, which proves the relation Latin. So
-    a tractable component builds no completion index. Where the pass
-    cannot name the first failure (r > 3, outside the zero block, or a
-    zero block too small to fill the table), latin_check,
-    reconstruct_group and equation_check name it. The first failure
-    becomes the witness; otherwise the per-component structures are
-    returned.
+    a tractable component builds no completion index, and the group is
+    built once. Where the pass cannot prove the relation (r > 3, or a zero
+    block too small to fill the table), latin_check runs first, to name
+    the first Latin failure. The first failure becomes the witness;
+    otherwise the per-component structures are returned.
 
     Kept elements and the components come from g.support_index on
     original ids, as prune_domain and domain_components read them, with no
     renumbered copy of the table; removed is listed from it on first read.
-    The index is built on first use, in two passes over the keys, and the
+    The index is built on first use, in one pass over the keys, and the
     stages read it for every component.
     """
     idx = g.support_index

@@ -50,7 +50,7 @@ __all__ = [
     "eval_table_brute",
 ]
 
-MAX_GADGET_ENTRIES = 10**6  # bound on what a report lists: tilde_f's q*q, vertex_power's n and pendants
+MAX_GADGET_ENTRIES = 10**6  # bound on what a report lists: a gadget's output, classify's removed elements
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +67,7 @@ def pad_to_arity(g_instance: Hypergraph, k: int, r: int) -> GadgetResult:
 
     Evaluating an arity-r function on the result equals evaluating its
     arity-k marginal on the original, because each fresh block is summed
-    over exactly once.
+    over exactly once. More than MAX_GADGET_ENTRIES fresh vertices are refused.
     """
     if not 2 <= k <= r:
         raise ValueError(f"need 2 <= k <= r, got k={k}, r={r}")
@@ -75,6 +75,9 @@ def pad_to_arity(g_instance: Hypergraph, k: int, r: int) -> GadgetResult:
         raise ValueError(f"instance arity {g_instance.arity} != declared k {k}")
     if r == k:
         return GadgetResult(g_instance, {"fresh_per_edge": []}, {"k": k, "r": r})
+    fresh_count = len(g_instance.edges) * (r - k)
+    if fresh_count > MAX_GADGET_ENTRIES:
+        raise ValueError(f"{fresh_count} fresh vertices would pass {MAX_GADGET_ENTRIES} entries")
     edges = []
     fresh_per_edge = []
     c = g_instance.n
@@ -221,7 +224,7 @@ def component_separator(g_instance: Hypergraph, p: int) -> GadgetResult:
     single domain component then scale geometrically in p, which is what
     the interpolation recovery exploits. The input must be connected with
     no vertex outside a scope: its plan (instance_plan) is one run over
-    all n vertices.
+    all n vertices. More than MAX_GADGET_ENTRIES edges (p*M + 2np) are refused.
     """
     if p < 1:
         raise ValueError(f"copy count must be at least 1, got {p}")
@@ -232,6 +235,9 @@ def component_separator(g_instance: Hypergraph, p: int) -> GadgetResult:
     if len(starts) != 1 or len(order) != g_instance.n:
         raise ValueError("separator input must be connected")
     n = g_instance.n
+    listed = p * (len(g_instance.edges) + 2 * n)
+    if listed > MAX_GADGET_ENTRIES:
+        raise ValueError(f"{listed} edges would pass {MAX_GADGET_ENTRIES} entries")
     edges = []
     for j in range(p):
         off = j * n
@@ -269,13 +275,17 @@ def equality_eliminator(inst: CspInstance, p: int) -> GadgetResult:
     Per equality (u, w) and round, one fresh (k-1)-block is joined by an
     edge through u and an edge through w; on a Latin relation the block
     forces equal completions, so the hom count gains a known factor of
-    |A|^((k-2) * equalities * p) per domain component.
+    |A|^((k-2) * equalities * p) per domain component. More than
+    MAX_GADGET_ENTRIES blocks are refused.
     """
     if p < 1:
         raise ValueError(f"round count must be at least 1, got {p}")
     k = inst.arity
     if k is None:
         raise ValueError("eliminator needs at least one scope")
+    block_count = len(inst.equalities) * p
+    if block_count > MAX_GADGET_ENTRIES:
+        raise ValueError(f"{block_count} blocks would pass {MAX_GADGET_ENTRIES} entries")
     for s in inst.scopes:
         if len(set(s)) != len(s):
             raise ValueError(f"scope {s} repeats a variable; eliminator needs plain edges")

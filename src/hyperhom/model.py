@@ -183,8 +183,8 @@ class SupportIndex:
     removed, the rest of 0..q-1, is listed on first read only, in O(q):
     classify's report reads it, an eval never does.
 
-    Costs two passes over the keys, O(|support| * r), whatever q: one lists
-    the elements, one files each key under them. The components come from a
+    Costs one pass over the keys, O(|support| * r), whatever q, filing each
+    key under the elements it holds. The components come from a
     search that reads each element's holders at most once, in C loops
     (O(|support| * r^2) element visits at most), and stops as soon as every
     kept element is placed, so one dense component reads a single element's
@@ -207,18 +207,19 @@ class SupportIndex:
 
     @staticmethod
     def of(g: SymFunc) -> "SupportIndex":
-        elements = sorted(set(chain.from_iterable(g.weights)))
-        holders: dict[int, list[tuple[int, ...]]] = {z: [] for z in elements}
+        filed: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         for key in g.weights:
             prev = None
             for z in key:  # keys are sorted, so repeats are adjacent
                 if z != prev:
-                    holders[z].append(key)
+                    filed[z].append(key)
                     prev = z
+        holders = dict(filed)  # a plain dict: reading an absent element inserts nothing
+        kept = tuple(sorted(holders))
         # two elements co-occur exactly when some nonzero key holds both
-        unplaced = set(elements)
+        unplaced = set(kept)
         components = []
-        for least in elements:
+        for least in kept:
             if least not in unplaced:
                 continue
             unplaced.discard(least)
@@ -229,7 +230,7 @@ class SupportIndex:
                 comp += reached
                 frontier += reached
             components.append(tuple(sorted(comp)))
-        return SupportIndex(g.q, holders, tuple(elements), tuple(components))
+        return SupportIndex(g.q, holders, kept, tuple(components))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,15 @@ import hyperhom
 from hyperhom import fixtures as fx
 from hyperhom.cli import main
 from hyperhom.evaluator import MAX_ISOLATED_BITS
-from hyperhom.gadgets import MAX_GADGET_ENTRIES, relation_to_symfunc, tilde_f, vertex_power
+from hyperhom.gadgets import (
+    MAX_GADGET_ENTRIES,
+    component_separator,
+    equality_eliminator,
+    pad_to_arity,
+    relation_to_symfunc,
+    tilde_f,
+    vertex_power,
+)
 from hyperhom.model import CspInstance, Hypergraph, SymFunc, dump_csp, dump_hypergraph, dump_symfunc
 
 
@@ -164,7 +172,7 @@ def test_eval_one_edge_among_1e20_vertices(tmp_path, capsys):
         assert message == f"{k} vertices in no scope would multiply Z by 2^{k}, past {MAX_ISOLATED_BITS} bits"
 
 
-def test_gadgets_refuse_reports_past_the_entry_bound(tmp_path, capsys):
+def test_gadgets_refuse_reports_past_the_entry_bound(tmp_path, capsys, monkeypatch):
     # tilde reports a q x q matrix and power a pendant list per vertex, so at
     # 10^20 each refuses (exit 1) at once, before it keeps anything per element
     # or vertex
@@ -202,6 +210,49 @@ def test_gadgets_refuse_reports_past_the_entry_bound(tmp_path, capsys):
     # a power of 1 or an instance with no edge lists no pendants at any n
     assert vertex_power(Hypergraph(huge, ((0, 1, 2),)), 1).maps == {"pendants_per_vertex": []}
     assert vertex_power(Hypergraph(huge, ()), 2).maps == {"pendants_per_vertex": []}
+    # pad lists M * (r - k) fresh vertices, separate p * M + 2np edges and
+    # eq-elim E * p blocks: past the bound each refuses before it builds
+    # any, here under a 1 GiB address-space cap so that a regression fails
+    # fast instead of filling the memory
+    resource = pytest.importorskip("resource")
+    edge = tmp_path / "edge.hg"
+    edge.write_text("hypergraph v1\nn 3\ne 0 1 2\n")
+    csp = tmp_path / "eq.csp"
+    csp.write_text("csp v1\nn 3\nc 0 1 2\neq 0 1\n")
+    src = str(Path(hyperhom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cases = (
+        (["pad", "-i", str(edge), "-r", str(10**11)], f"{10**11 - 3} fresh vertices"),
+        (["eq-elim", "-i", str(csp), "-p", str(10**11)], f"{10**11} blocks"),
+        (["separate", "-i", str(edge), "-p", str(3 * 10**6)], f"{21 * 10**6} edges"),
+        (["separate", "-i", str(edge), "-p", str(10**11)], f"{7 * 10**11} edges"),
+    )
+    for argv, listed in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperhom.cli", "gadget", *argv],
+            capture_output=True, text=True, env=env, preexec_fn=capped, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads(proc.stdout)  # one JSON report, nothing after it
+        assert report["payload"]["message"] == f"{listed} would pass {MAX_GADGET_ENTRIES} entries"
+    # on both sides of the bound, in the library
+    monkeypatch.setattr(hyperhom.gadgets, "MAX_GADGET_ENTRIES", 14)
+    one = Hypergraph(3, ((0, 1, 2),))
+    eq = CspInstance(3, ((0, 1, 2),), ((0, 1),))
+    assert len(pad_to_arity(one, 3, 17).maps["fresh_per_edge"][0]) == 14
+    assert len(component_separator(one, 2).instance.edges) == 14
+    assert len(equality_eliminator(eq, 14).maps["blocks"]) == 14
+    for build, listed in (
+        (lambda: pad_to_arity(one, 3, 18), "15 fresh vertices"),
+        (lambda: component_separator(one, 3), "21 edges"),
+        (lambda: equality_eliminator(eq, 15), "15 blocks"),
+    ):
+        with pytest.raises(ValueError, match=f"^{listed} would pass 14 entries$"):
+            build()
 
 
 def test_classify_refuses_a_removed_list_past_the_entry_bound(tmp_path, capsys, monkeypatch):

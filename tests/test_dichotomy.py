@@ -386,18 +386,21 @@ def test_classify_runs_each_stage_once_per_component(monkeypatch):
     # perfbench times the stages by wrapping these module names; a
     # refactor that bypasses them would make its per-layer metrics read 0.
     # The member pass decides a tractable component and names an r = 3
-    # witness alone; the three group stages run only to name a witness the
-    # pass cannot place first at r > 3.
+    # witness alone, building the group once (_group_of_dots); latin_check
+    # and equation_check run only to name a witness the pass cannot place
+    # first at r > 3, and reconstruct_group never runs, as the pass's group
+    # is the one it would build.
     names = (
         "sim_classes",
         "check_product_structure",
         "_member_pass",
+        "_group_of_dots",
         "latin_check",
         "reconstruct_group",
         "equation_check",
         "_completion_index",
     )
-    group_stages = names[3:]
+    group_stages = names[4:]
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
@@ -422,18 +425,24 @@ def test_classify_runs_each_stage_once_per_component(monkeypatch):
         assert cls.tractable and len(cls.components) == 3
         assert calls == {**dict.fromkeys(names, 3), **dict.fromkeys(group_stages, 0)}
     # a replay reruns one component's stages, each at most once: an r = 4
-    # equation mismatch outside the zero block goes on to the group stages,
-    # r = 3 witnesses stop at the pass
+    # equation mismatch outside the zero block goes on to latin_check and
+    # equation_check on the pass's group, r = 3 witnesses stop at the pass:
+    # a bad cell of the fill before any group is built, a non-associative
+    # table after it
     g = _equation_mismatch_table()
     w = classify(g).witness
     calls.update(dict.fromkeys(names, 0))
     assert replay_witness(g, w)
-    assert calls == dict.fromkeys(names, 1)
-    for g in (fx.not_all_zero(), fx.steiner_fano()):
+    assert calls == {**dict.fromkeys(names, 1), "reconstruct_group": 0}
+    for g, built in ((fx.not_all_zero(), 0), (fx.steiner_fano(), 1)):
         w = classify(g).witness
         calls.update(dict.fromkeys(names, 0))
         assert replay_witness(g, w)
-        assert calls == {**dict.fromkeys(names, 1), **dict.fromkeys(group_stages, 0)}
+        assert calls == {
+            **dict.fromkeys(names, 1),
+            **dict.fromkeys(group_stages, 0),
+            "_group_of_dots": built,
+        }, (w.kind, calls)
 
 
 def test_classify_random_structured_families():

@@ -34,6 +34,7 @@ from hyperhom.dichotomy import (
     KIND_FACTORING_IDENTITY_VIOLATION,
     FactorStructure,
     GroupStructure,
+    HardnessWitness,
     _solution_count,
     check_product_structure,
     classify,
@@ -551,10 +552,21 @@ def _chain(q, r):
     return relation_to_symfunc(frozenset(tuple(range(i, i + r)) for i in range(q - r + 1)), q, r)
 
 
+def _group_stages(relation, r, m):
+    """latin_check, reconstruct_group and equation_check in turn: the three
+    stages classify's member pass stands in for."""
+    completion = latin_check(relation, r, m)
+    if isinstance(completion, HardnessWitness):
+        return completion
+    gs = reconstruct_group(completion, r, m)
+    if isinstance(gs, HardnessWitness):
+        return gs
+    return equation_check(completion, gs) or gs
+
+
 def test_member_pass_matches_the_group_stages(monkeypatch):
-    # classify decides the group stages by _member_pass and runs
-    # latin_check, reconstruct_group and equation_check only where the pass
-    # returns None; with the pass forced to return None, every component
+    # classify decides the group stages by _member_pass alone; with the
+    # pass replaced by the three public stages run in turn, every component
     # takes the stages. Both must give the same verdict, structure, witness
     # kind and evidence: on every nonzero 0/1 table at (q, r) = (3, 3),
     # (2, 4) and (2, 5), on seeded 0/1 tables at (3, 4), (4, 3) and (4, 4),
@@ -589,7 +601,7 @@ def test_member_pass_matches_the_group_stages(monkeypatch):
     for g in tables:
         got = _outcome(g)
         with monkeypatch.context() as patch:
-            patch.setattr(dichotomy, "_member_pass", lambda relation, r, m: None)
+            patch.setattr(dichotomy, "_member_pass", _group_stages)
             want = _outcome(g)
         assert got == want, sorted(g.weights)
         seen[got[0], g.r] += 1
@@ -599,6 +611,20 @@ def test_member_pass_matches_the_group_stages(monkeypatch):
     # at r = 3 every member of a Latin relation sums to the derived target
     # (the proof is _member_pass's), so the stages never find a mismatch
     assert not seen["EquationMismatch", 3], seen
+
+
+def test_member_pass_names_a_latin_failure_before_a_non_associative_table():
+    # steiner_fano's triples behind a zero class: at r = 4 the zero block
+    # fills steiner_fano's dot table, which is not associative, and the
+    # prefix (1, 1, 2) outside the block has no completion; latin_check runs
+    # first in the stages, so the pass must name that prefix, not the table
+    assert classify(fx.steiner_fano()).witness.kind == "NotAssociative"
+    relation = frozenset((0,) + key for key in fx.steiner_fano().weights)
+    g = relation_to_symfunc(relation, 7, 4)
+    w = classify(g).witness
+    want = {"prefix": [1, 1, 2], "completions": []}
+    assert (w.kind, w.evidence) == ("NotLatin", want) and replay_witness(g, w)
+    assert _group_stages(relation, 4, 7).evidence == want
 
 
 @pytest.mark.parametrize("r", [3, 4])

@@ -364,17 +364,17 @@ class CountingWeights(Mapping):
 
 
 def test_classify_reads_the_keys_a_bounded_number_of_times():
-    # one pass to list the elements, one to index the keys, whatever the
-    # number of components; the rescanning pipeline made several per component
+    # one pass to index the keys, whatever the number of components; the
+    # rescanning pipeline made several per component
     block = (fx.group_from_factors(2), 2, (Fraction(1), Fraction(3)), 1, Fraction(2))
     for n in (1, 10, 100):
         g = fx.structured_family([block] * n, junk=2)
         counted = CountingWeights(g.weights)
         cls = classify(SymFunc(g.q, g.r, counted))
         assert cls.tractable and len(cls.components) == n
-        assert counted.passes == 2, (n, counted.passes)
+        assert counted.passes == 1, (n, counted.passes)
         witness = classify(SymFunc(g.q, g.r, CountingWeights(_doctored(random.Random(n), g).weights)))
-        assert witness.func.weights.passes == 2
+        assert witness.func.weights.passes == 1
 
 
 def test_support_index_edge_cases():
