@@ -79,7 +79,7 @@ def _rational_text(value: Any) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit(command: str, status: str, payload: Any, started: float) -> None:
+def _report(command: str, status: str, payload: Any, started: float) -> str:
     report = {
         "tool": "hyperhom",
         "version": __version__,
@@ -88,7 +88,7 @@ def _emit(command: str, status: str, payload: Any, started: float) -> None:
         "payload": payload,
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
-    sys.stdout.write(json.dumps(report, indent=2, default=_rational_text) + "\n")
+    return json.dumps(report, indent=2, default=_rational_text) + "\n"
 
 
 def _classification_payload(cls: Classification) -> dict[str, Any]:
@@ -315,21 +315,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         status, payload, summary = args.handler(args)
+        code, note = 0, f"{status}: {summary}"
     except (_CliError, FormatError, OSError, CapExceeded, ValueError) as exc:
-        _emit(command, "error", {"message": str(exc)}, started)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message, note = 1, str(exc), f"error: {exc}"
     except _SelfTestFailure as exc:
-        _emit(command, "error", {"message": f"selftest mismatch: {exc}"}, started)
-        print(f"selftest mismatch: {exc}", file=sys.stderr)
-        return 2
+        code, message, note = 2, f"selftest mismatch: {exc}", f"selftest mismatch: {exc}"
     except Exception as exc:  # pragma: no cover - defensive
-        _emit(command, "error", {"message": f"internal: {exc!r}"}, started)
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 2
-    _emit(command, status, payload, started)
-    print(f"{status}: {summary}", file=sys.stderr)
-    return 0
+        code, message, note = 2, f"internal: {exc!r}", f"internal error: {exc!r}"
+    if code:
+        status, payload = "error", {"message": message}
+    try:  # the text is built before anything is printed, so a failure here still ends in one report
+        text = _report(command, status, payload, started)
+    except Exception as exc:
+        code, note = 2, f"internal error: {exc!r}"
+        text = _report(command, "error", {"message": f"internal: {exc!r}"}, started)
+    sys.stdout.write(text)
+    print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

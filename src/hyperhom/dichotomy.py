@@ -31,10 +31,10 @@ directly; the three group stages work on class ids only.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from .abelian import AbelianGroup, CyclicDecomposition, decompose, first_nonassociative
@@ -175,7 +175,6 @@ class Classification:
 
 
 _ONE = Fraction(1)  # every class's first ratio, one object, so equal norms compare by identity
-_KEYS_PER_COMPARE = 32  # a failed slice comparison costs about what min() pays for this many keys
 
 
 def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
@@ -195,27 +194,20 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
 
     An element is compared only with the classes it could join.
     Proportional slices hold the same rests K - z, so they have the same
-    key count and the same least rest, which is min(holders[z]) with one z
-    removed: dropping z from the sorted keys that hold it keeps their order.
-    Of the classes whose slices have n keys, the first n // 32 + 1 are
-    compared one by one; the later ones are filed by least rest, and an
-    element whose count has them also reads its own least rest, one min
-    over its n keys, to find the rest of its candidates. Proportionality is
-    an equivalence, so an element has at most one class to join, and the
+    key count and the same least rest, holders[z][0] with one z removed
+    (the holders are sorted, and dropping z from the sorted keys that hold
+    it keeps their order). Each class is filed under its (key count, least
+    rest), which an element reads in O(r). Proportionality is an
+    equivalence, so an element has at most one class to join, and the
     classes, their order and the ratios are those of comparing it with
-    every class found so far. Where key counts differ, as in a dense random
-    table, an element costs about one comparison; where classes share a
-    count, as in a group table, it costs one min and at most n // 32 + 2
-    comparisons rather than one per class found so far.
+    every class found so far. A dense random table's key counts mostly
+    differ, and a group table's classes share a count but mostly not a
+    least rest, so an element is mostly compared only with the class it
+    joins.
     """
     comp = tuple(sorted(component))
     table = g.weights
     holders = g.support_index.holders
-
-    def least_rest(z: int) -> tuple[int, ...]:
-        rest = list(min(holders[z]))
-        rest.remove(z)
-        return tuple(rest)
 
     def ratio_to(z: int, rep: int) -> Fraction | None:
         """z's ratio to rep, whose slice has as many keys, or None."""
@@ -238,17 +230,14 @@ def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
 
     classes: list[list[int]] = []
     ratio: dict[int, Fraction] = {}
-    scanned: dict[int, list[list[int]]] = {}  # key count -> its first classes
-    filed: dict[tuple, list[list[int]]] = {}  # (count, least rest) -> the count's later classes
+    filed: dict[tuple, list[list[int]]] = {}  # (key count, least rest) -> its classes
     for z in comp:
         if z not in holders:
             raise ValueError(f"element {z} has an all-zero slice; prune the domain first")
-        n = len(holders[z])
-        home = candidates = scanned.setdefault(n, [])
-        if len(home) > n // _KEYS_PER_COMPARE:  # full: later classes are filed by least rest
-            home = filed.setdefault((n, least_rest(z)), [])
-            candidates = chain(candidates, home)
-        for cls in candidates:
+        rest = list(holders[z][0])
+        rest.remove(z)
+        home = filed.setdefault((len(holders[z]), tuple(rest)), [])
+        for cls in home:
             t = ratio_to(z, cls[0])
             if t is not None:
                 cls.append(z)
@@ -287,10 +276,12 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     s = 1 whose component starts at 0, every element below m is one, so a
     key under c's representative is in c's group exactly when its least
     element is c and its greatest is below m, and the sorted key is its
-    own class multiset: two comparisons per key, no relabelling, sort or
-    set test. Otherwise each key is tested against the set of
+    own class multiset. The holders are sorted, so the keys whose least
+    element is c are the tail of c's list from (c,), found by bisection:
+    a key is read at most once, at one comparison, with no relabelling,
+    sort or set test. Otherwise each key is tested against the set of
     representatives of classes >= c and mapped to its sorted class ids,
-    O(r log r) per key. Both read the same members in the same order.
+    O(r log r) per key. Both read the same members, group by group.
 
     A returned structure satisfies the factoring identity on every key of
     the component, so verify_factoring_identity has nothing left to find.
@@ -360,7 +351,8 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     for c, rep in enumerate(reps):
         # the members whose least class is c
         if same_ids:  # a sorted key of representatives >= c is its own class multiset
-            keys = alphas = [key for key in holders[rep] if key[0] == rep and key[-1] < m]
+            held = holders[rep]  # sorted: the keys whose least element is rep are its tail
+            keys = alphas = [key for key in held[bisect_left(held, (rep,)):] if key[-1] < m]
         else:
             keys = list(filter(later.issuperset, holders[rep]))
             alphas = [tuple(sorted(map(class_id, key))) for key in keys]

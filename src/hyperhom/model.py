@@ -175,16 +175,18 @@ def _weights_loop(
 class SupportIndex:
     """What the nonzero keys of a weight function say about its domain.
 
-    holders[z] lists the nonzero keys that hold z, each once, in table
-    order. kept holds the elements that occur in some key (with
-    nonnegative weights, those with positive unary marginal), and
-    components the connected components of the co-occurrence relation on
-    kept, each ascending, sorted by least element; all on original ids.
-    removed, the rest of 0..q-1, is listed on first read only, in O(q):
-    classify's report reads it, an eval never does.
+    holders[z] lists the nonzero keys that hold z, each once, sorted: the
+    keys whose least element is z are its tail from (z,). kept holds the
+    elements that occur in some key (with nonnegative weights, those with
+    positive unary marginal), and components the connected components of
+    the co-occurrence relation on kept, each ascending, sorted by least
+    element; all on original ids. removed, the rest of 0..q-1, is listed
+    on first read only, in O(q): classify's report reads it, an eval
+    never does.
 
-    Costs one pass over the keys, O(|support| * r), whatever q, filing each
-    key under the elements it holds. The components come from a
+    Costs one sort of the keys (linear when they arrive sorted, as
+    dump_symfunc writes them) and one pass, O(|support| * r), whatever q,
+    filing each key under the elements it holds. The components come from a
     search that reads each element's holders at most once, in C loops
     (O(|support| * r^2) element visits at most), and stops as soon as every
     kept element is placed, so one dense component reads a single element's
@@ -208,7 +210,7 @@ class SupportIndex:
     @staticmethod
     def of(g: SymFunc) -> "SupportIndex":
         filed: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-        for key in g.weights:
+        for key in sorted(g.weights):
             prev = None
             for z in key:  # keys are sorted, so repeats are adjacent
                 if z != prev:

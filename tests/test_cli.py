@@ -393,6 +393,22 @@ def test_selftest(capsys):
     assert report["payload"]["checks"] >= 10
 
 
+def test_unencodable_report_is_internal_error(capsys, monkeypatch):
+    # the parser binds each handler once per process, so rebuild it around the
+    # patched handler, and again afterwards for the tests that follow
+    monkeypatch.setattr(hyperhom.cli, "_cmd_selftest", lambda args: ("ok", {"bad": object()}, "done"))
+    hyperhom.cli._build_parser.cache_clear()
+    try:
+        code = main(["selftest"])
+    finally:
+        hyperhom.cli._build_parser.cache_clear()
+    out, err = capsys.readouterr()
+    report = json.loads(out)  # one JSON document, nothing after it
+    assert code == 2 and report["status"] == "error"
+    assert report["payload"]["message"].startswith("internal: TypeError(")
+    assert err.startswith("internal error: TypeError(") and "Traceback" not in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, report, _ = run_cli(capsys, "classify", "-g", "/nonexistent/x.sf")
     assert code == 1 and report["status"] == "error"

@@ -260,13 +260,13 @@ def _shuffled(rng: random.Random, g: SymFunc) -> SymFunc:
 
 
 def test_sim_classes_match_dense_on_structured_tables():
-    # sim_classes compares an element with the first classes of its key
-    # count one by one and finds the later ones by least rest. Group tables
+    # sim_classes compares an element only with the classes filed under its
+    # key count and least rest, read off its sorted holders. Group tables
     # give many classes of one count (s = 1 on Z2^4 with r = 4 has 120 keys
-    # per element, so both ways are taken); a perturbed key gives elements
-    # of one count and least rest whose slices are not proportional; dense
-    # tables with no zero, or with weights 1 and 2, give counts shared by
-    # classes that differ
+    # per element); shuffled copies give keys that arrive unsorted; a
+    # perturbed key gives elements of one count and least rest whose slices
+    # are not proportional; dense tables with no zero, or with weights 1 and
+    # 2, give counts shared by classes that differ
     rng = random.Random(4417)
     tables = []
     for _ in range(30):
