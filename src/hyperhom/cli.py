@@ -17,6 +17,7 @@ from typing import Any
 
 from . import __version__, gadgets
 from .abelian import count_solutions_mod
+from .certify import check_witness
 from .dichotomy import Classification, classify, latin_check, reconstruct_group, replay_witness
 from .evaluator import CapExceeded, eval_bruteforce, eval_tractable, evaluate, resolve_brute_cap
 from .exactcore import IntMatrix, format_rational, snf
@@ -129,7 +130,9 @@ def _classification_payload(cls: Classification) -> dict[str, Any]:
             "component": list(w.component),
             "evidence": w.evidence,
         }
-        payload["replay"] = replay_witness(cls.func, w)
+        # true when the evidence holds of the table and so shows it hard;
+        # the classifier does not run again
+        payload["replay"] = check_witness(cls.func, w)
     return payload
 
 
@@ -226,7 +229,9 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, dict[str, Any], str]:
         cls = classify(g)
         _expect("hard", cls.tractable, False)
         _expect("kind", cls.witness.kind, kind)
-        checks.append(_expect(f"replay {kind}", replay_witness(g, cls.witness), True))
+        replayed = replay_witness(g, cls.witness)
+        _expect(f"check {kind}", check_witness(g, cls.witness), replayed)  # the two must agree
+        checks.append(_expect(f"replay {kind}", replayed, True))
 
     gs = reconstruct_group(latin_check(shifted_mod4_relation(), 3, 4), 3, 4, zero=1)
     _expect("shifted zero target", gs.a, 2)

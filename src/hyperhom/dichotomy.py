@@ -10,6 +10,8 @@ check) and returns either the per-component structure or a
 machine-checkable witness of the first failed check. replay_witness()
 reruns the stages on the witness's component: a witness replays exactly
 when they fail there with that witness, and in no other way.
+certify.check_witness() checks a witness from the table instead, with no
+stage rerun.
 
 The last three stages run as one pass over the relation's members
 (_member_pass). It fills the group's dot table from the members whose
@@ -264,8 +266,13 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
     only representatives of classes >= c, and visiting the groups by c,
     each sorted, gives the sorted order of the whole relation. The
     constant is the value of the least member of the first nonempty group,
-    found by min(), and a group whose values all equal it has no mismatch
-    to name, so it is not sorted. A witness reads only the groups up to
+    found by min(). A group's values are compared with it in one C-level
+    list compare, which stops at the first value that differs and passes a
+    value that is the constant object (equal weights often share one) with
+    no Fraction compare. A group with no mismatch is not sorted, nor is one
+    on the same-ids path below, whose keys are its members in sorted
+    order; so only another group that has a mismatch is sorted, to name
+    its least member. A witness reads only the groups up to
     its member's, and a structure reads each key of the component at most
     r times: O(|component support| * r), not O(|support|), per component.
     A class's ratios are divided by their least only when it is below 1,
@@ -361,21 +368,23 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
         # the members are distinct, so min() and sorted() compare no values
         if constant is None and alphas:  # the least member of the relation
             first_key, constant = min(zip(alphas, values))
-        # count() compares by identity first, so a group that agrees costs no
-        # sort and, where equal weights share one object, no Fraction compare
-        if values.count(constant) != len(values):
-            for alpha, v in sorted(zip(alphas, values)):
-                if v != constant:
-                    return HardnessWitness(
-                        KIND_REP_VALUE_INCONSISTENT,
-                        sc.component,
-                        {
-                            "tuple_a": sorted(reps[i] for i in first_key),
-                            "value_a": format_rational(constant),
-                            "tuple_b": sorted(reps[i] for i in alpha),
-                            "value_b": format_rational(v),
-                        },
-                    )
+        # a list compare runs in C, passes a value that is the constant
+        # object with no Fraction compare (equal weights often share one),
+        # and stops at the first value that differs
+        if values != [constant] * len(values):
+            # on the same-ids path the keys are the members in sorted order
+            members = zip(alphas, values) if same_ids else sorted(zip(alphas, values))
+            alpha, v = next(m for m in members if m[1] is not constant and m[1] != constant)
+            return HardnessWitness(
+                KIND_REP_VALUE_INCONSISTENT,
+                sc.component,
+                {
+                    "tuple_a": sorted(reps[i] for i in first_key),
+                    "value_a": format_rational(constant),
+                    "tuple_b": sorted(reps[i] for i in alpha),
+                    "value_b": format_rational(v),
+                },
+            )
         relation.update(alphas)
     if constant is None:
         raise ValueError("component carries no nonzero weight; prune the domain first")
@@ -752,7 +761,9 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     The stages are deterministic, so evidence that is true of the table
     but is not the first failure classify finds replays False, as do a
     malformed witness and a FactoringIdentityViolation, a kind classify
-    never emits.
+    never emits. The CLI confirms a Hard answer with
+    certify.check_witness, which reruns nothing and accepts any evidence
+    true of the table; this rerun stays as its reference.
     """
     if w.kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {w.kind!r}")

@@ -1,6 +1,7 @@
 """Classification pipeline: classes, structure, groups, witnesses."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hyperhom import dichotomy
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup, decompose
+from hyperhom.certify import check_witness
 from hyperhom.cli import _classification_payload
 from hyperhom.dichotomy import (
     GroupStructure,
@@ -123,6 +125,25 @@ def test_rep_value_inconsistent():
     assert replay_witness(g, cls.witness)
 
 
+def test_rep_value_witness_is_the_least_member_when_ids_differ():
+    # classes {0, 3} and {1, 2} with index-0 members 3 and 1, so class ids
+    # do not follow element order: the keys (1, 1, 3) and (1, 3, 3) list in
+    # the order opposite to their members (0, 1, 1) and (0, 0, 1), and both
+    # differ from the constant, 1 on (3, 3, 3); the least member is named
+    index = {3: (0, 0), 0: (0, 1), 1: (1, 0), 2: (1, 1)}  # element -> (class, index)
+    mu = (Fraction(1), Fraction(2))
+    constant = dict(zip(combinations_with_replacement(range(2), 3), map(Fraction, (1, 5, 7, 1))))
+    weights = {}
+    for key in combinations_with_replacement(range(4), 3):
+        alpha = tuple(sorted(index[z][0] for z in key))
+        weights[key] = constant[alpha] * math.prod(mu[index[z][1]] for z in key)
+    g = SymFunc.from_weights(4, 3, weights)
+    w = classify(g).witness
+    assert w.kind == "RepValueInconsistent"
+    assert w.evidence == {"tuple_a": [3, 3, 3], "value_a": "1", "tuple_b": [1, 3, 3], "value_b": "5"}
+    assert replay_witness(g, w) and check_witness(g, w)
+
+
 def test_factoring_identity_direct_violation():
     # clean structure, doctored table: the identity test must localize it
     fs = check_product_structure(fx.mixed(), sim_classes(fx.mixed(), (0, 1, 2, 3)))
@@ -133,8 +154,10 @@ def test_factoring_identity_direct_violation():
     assert w.evidence["lhs"] == "125"
     assert w.evidence["rhs"] == "27"
     assert verify_factoring_identity(fx.mixed(), fs) is None
-    # classify never emits this kind, so the rerun cannot confirm it
+    # classify never emits this kind, so the rerun cannot confirm it, nor
+    # does the checker take it
     assert not replay_witness(doctored, w)
+    assert not check_witness(doctored, w)
 
 
 def test_latin_check():
@@ -278,6 +301,7 @@ def test_classify_hard_fixtures_and_replay():
     for changed in ({"got": 2}, {"expected": 3}, {"prefix": [2, 2, 3]}):
         forged = HardnessWitness(w.kind, w.component, {**w.evidence, **changed})
         assert not replay_witness(g, forged), changed
+        assert not check_witness(g, forged), changed
 
 
 def test_replay_rejects_stale_witness():
@@ -285,6 +309,7 @@ def test_replay_rejects_stale_witness():
     w = parity_cls.witness
     # same witness against a table it does not describe
     assert not replay_witness(fx.parity(), w)
+    assert not check_witness(fx.parity(), w)
 
     fake = HardnessWitness(
         "UnequalClassSizes",
@@ -292,6 +317,7 @@ def test_replay_rejects_stale_witness():
         {"class_a": [0], "class_b": [2, 3], "size_a": 1, "size_b": 2},
     )
     assert not replay_witness(fx.mixed(), fake)
+    assert not check_witness(fx.mixed(), fake)
 
     # NotLatin prefixes of the wrong length have no completion in an
     # r-multiset relation; they must not pass for a Latin failure
@@ -299,6 +325,7 @@ def test_replay_rejects_stale_witness():
         for prefix in ([0], [], [0, 0, 0]):
             forged = HardnessWitness("NotLatin", component, {"prefix": prefix, "completions": []})
             assert not replay_witness(g, forged), (g.q, component, prefix)
+            assert not check_witness(g, forged), (g.q, component, prefix)
 
     # malformed evidence is no witness
     rep_value = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(2)})
@@ -309,6 +336,7 @@ def test_replay_rejects_stale_witness():
     ):
         component = classify(g).witness.component
         assert not replay_witness(g, HardnessWitness(kind, component, evidence)), evidence
+        assert not check_witness(g, HardnessWitness(kind, component, evidence)), evidence
 
     # true of the table, but not the first mismatch classify finds
     g = SymFunc.from_weights(
@@ -318,9 +346,14 @@ def test_replay_rejects_stale_witness():
     assert w.evidence["tuple_b"] == [0, 1, 1] and replay_witness(g, w)
     later = HardnessWitness(w.kind, w.component, {**w.evidence, "tuple_b": [1, 1, 1], "value_b": "3"})
     assert not replay_witness(g, later)
+    # the checker asks only that the evidence be true of the table and
+    # show it hard, which this later mismatch does
+    assert check_witness(g, w) and check_witness(g, later)
 
     with pytest.raises(ValueError):
         replay_witness(fx.parity(), HardnessWitness("NoSuchKind", (), {}))
+    with pytest.raises(ValueError):
+        check_witness(fx.parity(), HardnessWitness("NoSuchKind", (), {}))
 
 
 def test_replay_returns_false_on_malformed_witnesses():
@@ -336,6 +369,7 @@ def test_replay_returns_false_on_malformed_witnesses():
     ]
     for g, w in cases:
         assert replay_witness(g, w) is False, w
+        assert check_witness(g, w) is False, w
 
 
 def test_replay_rejects_forged_witnesses_on_tractable_tables():
@@ -362,12 +396,14 @@ def test_replay_rejects_forged_witnesses_on_tractable_tables():
     for g, w in forged:
         assert classify(g).tractable
         assert not replay_witness(g, w), w.kind
+        assert not check_witness(g, w), w.kind
     # a genuine RepValueInconsistent names index-0 representatives only
     g = SymFunc.from_weights(2, 3, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(2)})
     w = classify(g).witness
-    assert w.evidence["tuple_a"] == [0, 0, 0] and replay_witness(g, w)
+    assert w.evidence["tuple_a"] == [0, 0, 0] and replay_witness(g, w) and check_witness(g, w)
     for tup in ([0, 0, 1], [1, 1, 1]):  # a zero key is no key
         assert not replay_witness(g, HardnessWitness(w.kind, w.component, {**w.evidence, "tuple_b": tup}))
+        assert not check_witness(g, HardnessWitness(w.kind, w.component, {**w.evidence, "tuple_b": tup}))
 
 
 def test_replay_confirms_doctored_equation_witness_false():
@@ -380,6 +416,7 @@ def test_replay_confirms_doctored_equation_witness_false():
     w = HardnessWitness(found.kind, (0, 1), found.evidence)
     # parity's true table yields a = 0, so this witness must not replay
     assert not replay_witness(fx.parity(), w)
+    assert not check_witness(fx.parity(), w)
 
 
 def test_classify_runs_each_stage_once_per_component(monkeypatch):
