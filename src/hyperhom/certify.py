@@ -8,11 +8,10 @@ not factor over the classes), or a class relation that is not Latin, or is
 Latin but not the solution set of one Abelian-group equation.
 check_witness() decides whether the evidence is true of the table, reading
 only g.weights and g.support_index (the table layer classify built for
-this g). It finds similar elements by its own route: proportional slices
-share their key count and their least rest (holders[z][0] with one z
-removed), and elements that share both are compared by their slices'
-normal forms, each rest with its weight divided by the weight of the
-slice's least key, key by key until the first difference.
+this g). It finds similar elements by the table layer's one similarity
+test, as sim_classes does, but calls no classifier stage: the component's
+elements are filed by SymFunc.slice_key (key count and least rest), and
+elements filed together are compared by SymFunc.slice_ratio.
 
 A class multiset is in the relation when some key of its classes is
 nonzero, and then every key of those classes is: similar elements have
@@ -29,8 +28,8 @@ zero)) make a - sum(prefix) the one completion of every prefix. So cells
 with one completion that break associativity, or a prefix completed by
 another class, show the relation is no such solution set.
 
-Costs: O(|component| * r) to file the component's elements by the two
-invariants, normal forms only of the elements filed with a named one, and
+Costs: O(|component| * r) to file the component's elements by slice key,
+slice comparisons only of the elements filed with a named one, and
 O(|component|) key lookups per prefix or dot cell read. There is no pass
 over the whole support, no completion index and no group table.
 """
@@ -47,8 +46,8 @@ from .dichotomy import (
     KIND_RATIO_MULTISET_MISMATCH,
     KIND_REP_VALUE_INCONSISTENT,
     KIND_UNEQUAL_CLASS_SIZES,
-    WITNESS_KINDS,
     HardnessWitness,
+    _named_component,
 )
 from .exactcore import format_rational
 from .model import SymFunc
@@ -73,13 +72,8 @@ def check_witness(g: SymFunc, w: HardnessWitness) -> bool:
     never emits, and a malformed witness give False; an unknown kind
     raises ValueError.
     """
-    if w.kind not in WITNESS_KINDS:
-        raise ValueError(f"unknown witness kind {w.kind!r}")
-    try:
-        comp = tuple(w.component)
-        if comp not in g.support_index.components:
-            return False
-    except TypeError:  # not iterable, or unhashable elements
+    comp = _named_component(g, w)
+    if comp is None:
         return False
     check = _CHECKS.get(w.kind)
     if check is None or not isinstance(w.evidence, dict) or set(w.evidence) != set(check[0]):
@@ -101,49 +95,25 @@ class _Component:
     """One domain component's slices, read from the support index."""
 
     def __init__(self, g: SymFunc, comp: tuple[int, ...]):
+        self.g = g
         self.table = g.weights
         self.holders = g.support_index.holders
         self.r = g.r
         self.comp = comp
         self.members = frozenset(comp)
         self.zero = comp[0]
-        # the component's elements filed by key count and least rest
-        self._filed: dict[tuple, list[int]] = {}
+        self._filed: dict[tuple, list[int]] = {}  # slice key -> its elements
         for z in comp:
-            self._filed.setdefault(self._invariant(z), []).append(z)
+            self._filed.setdefault(g.slice_key(z), []).append(z)
         self._cells: dict[tuple[int, ...], list[int]] = {}
 
-    def _invariant(self, z: int) -> tuple:
-        least = list(self.holders[z][0])
-        least.remove(z)
-        return len(self.holders[z]), tuple(least)
-
     def mates(self, z: int) -> list[int]:
-        """The elements, z among them, that share z's key count and least
-        rest, ascending."""
-        return self._filed[self._invariant(z)]
+        """The elements, z among them, that share z's slice key, ascending."""
+        return self._filed[self.g.slice_key(z)]
 
     def similar(self, y: int, z: int) -> bool:
-        """Whether y's and z's slices have one normal form: as many keys,
-        equal i-th rests (the holders are sorted, and dropping the element
-        keeps their order), and equal weights over the least key's weight,
-        compared as integer cross-products, up to the first difference."""
-        hy, hz = self.holders[y], self.holders[z]
-        if len(hy) != len(hz):
-            return False
-        table = self.table
-        ln, ld = table[hy[0]].as_integer_ratio()
-        mn, md = table[hz[0]].as_integer_ratio()
-        left, right = ld * mn, md * ln  # w_y / l_y == w_z / l_z, multiplied out
-        for ky, kz in zip(hy, hz):
-            i, j = ky.index(y), kz.index(z)
-            if ky[:i] + ky[i + 1 :] != kz[:j] + kz[j + 1 :]:
-                return False
-            an, ad = table[ky].as_integer_ratio()
-            bn, bd = table[kz].as_integer_ratio()
-            if an * bd * left != bn * ad * right:
-                return False
-        return True
+        """Whether y's and z's slices are proportional."""
+        return self.g.slice_ratio(y, z) is not None
 
     def class_of(self, z: int) -> list[int]:
         """z's similarity class, ascending."""

@@ -112,7 +112,7 @@ def _classification_payload(cls: Classification) -> dict[str, Any]:
             gs = comp.group
             comps.append(
                 {
-                    "elements": sorted(z for c in fs.classes for z in c),
+                    "elements": list(fs.component),
                     "classes": [list(c) for c in fs.classes],
                     "s": fs.s,
                     "mu": fs.mu,

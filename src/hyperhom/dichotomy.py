@@ -33,7 +33,7 @@ directly; the three group stages work on class ids only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -165,9 +165,13 @@ class ComponentStructure:
 class Classification:
     func: SymFunc
     tractable: bool
-    kept: tuple[int, ...]
     components: tuple[ComponentStructure, ...]
     witness: HardnessWitness | None
+
+    @property
+    def kept(self) -> tuple[int, ...]:
+        """The elements some nonzero key holds, read from func.support_index."""
+        return self.func.support_index.kept
 
     @property
     def removed(self) -> tuple[int, ...]:
@@ -182,65 +186,32 @@ _ONE = Fraction(1)  # every class's first ratio, one object, so equal norms comp
 def sim_classes(g: SymFunc, component: Sequence[int]) -> SimClasses:
     """Group component elements whose slices are proportional.
 
-    Classes are ordered by least element, members ascending.
+    Classes are ordered by least element, members ascending. An element
+    joins a class when g.slice_ratio, its slice's factor to the class
+    representative's, is not None; that factor is its ratio.
 
-    The slice of z is kept sparse, as the list of nonzero keys holding z,
-    read from g.support_index (built once per table, shared by every
-    component). Two slices are proportional when the lists have the same
-    length and each key of z's list, with one z swapped for the other
-    element, is a nonzero key at a constant ratio. Comparing an element with
-    a class representative costs O(|slice| * r) table lookups, and
-    mismatches usually show at the first key. Ratios are compared as
-    integer cross-products of numerators and denominators, with no gcd per
-    key; one Fraction is built for each element that joins a class.
-
-    An element is compared only with the classes it could join.
-    Proportional slices hold the same rests K - z, so they have the same
-    key count and the same least rest, holders[z][0] with one z removed
-    (the holders are sorted, and dropping z from the sorted keys that hold
-    it keeps their order). Each class is filed under its (key count, least
-    rest), which an element reads in O(r). Proportionality is an
-    equivalence, so an element has at most one class to join, and the
-    classes, their order and the ratios are those of comparing it with
-    every class found so far. A dense random table's key counts mostly
-    differ, and a group table's classes share a count but mostly not a
-    least rest, so an element is mostly compared only with the class it
-    joins.
+    An element is compared only with the classes it could join: each class
+    is filed under its slice's g.slice_key (key count and least rest),
+    which proportional slices share and an element reads in O(r).
+    Proportionality is an equivalence, so an element has at most one class
+    to join, and the classes, their order and the ratios are those of
+    comparing it with every class found so far. A dense random table's key
+    counts mostly differ, and a group table's classes share a count but
+    mostly not a least rest, so an element is mostly compared only with the
+    class it joins.
     """
     comp = tuple(sorted(component))
-    table = g.weights
     holders = g.support_index.holders
-
-    def ratio_to(z: int, rep: int) -> Fraction | None:
-        """z's ratio to rep, whose slice has as many keys, or None."""
-        num = den = 0  # the first key's ratio num/den; weights are positive
-        for key in holders[z]:
-            swapped = list(key)
-            swapped.remove(z)
-            insort(swapped, rep)
-            other = table.get(tuple(swapped))
-            if other is None:
-                return None
-            wn, wd = table[key].as_integer_ratio()
-            on, od = other.as_integer_ratio()
-            n, d = wn * od, wd * on
-            if not den:
-                num, den = n, d
-            elif n * den != num * d:
-                return None
-        return Fraction(num, den)
-
+    slice_key, slice_ratio = g.slice_key, g.slice_ratio
     classes: list[list[int]] = []
     ratio: dict[int, Fraction] = {}
-    filed: dict[tuple, list[list[int]]] = {}  # (key count, least rest) -> its classes
+    filed: dict[tuple, list[list[int]]] = {}  # slice key -> its classes
     for z in comp:
         if z not in holders:
             raise ValueError(f"element {z} has an all-zero slice; prune the domain first")
-        rest = list(holders[z][0])
-        rest.remove(z)
-        home = filed.setdefault((len(holders[z]), tuple(rest)), [])
+        home = filed.setdefault(slice_key(z), [])
         for cls in home:
-            t = ratio_to(z, cls[0])
+            t = slice_ratio(z, cls[0])
             if t is not None:
                 cls.append(z)
                 ratio[z] = t
@@ -292,8 +263,9 @@ def check_product_structure(g: SymFunc, sc: SimClasses) -> FactorStructure | Har
 
     A returned structure satisfies the factoring identity on every key of
     the component, so verify_factoring_identity has nothing left to find.
-    sim_classes accepts z into the class of rep only when swapping one z
-    for rep maps the nonzero keys holding z into those holding rep with
+    sim_classes accepts z into the class of rep only when
+    g.slice_ratio(z, rep) is ratio[z]: swapping one z for rep maps the
+    nonzero keys holding z into those holding rep with
     g(K) = ratio[z] * g(K - z + rep); the swap is injective, and the two
     key lists have the same length, so it is a bijection. Hence
     g(z + w) = ratio[z] * g(rep + w) for every (r-1)-multiset w, both
@@ -733,29 +705,39 @@ def classify(g: SymFunc) -> Classification:
     the first Latin failure. The first failure becomes the witness;
     otherwise the per-component structures are returned.
 
-    Kept elements and the components come from g.support_index on
-    original ids, as prune_domain and domain_components read them, with no
-    renumbered copy of the table; removed is listed from it on first read.
-    The index is built on first use, in one pass over the keys, and the
-    stages read it for every component.
+    The components come from g.support_index on original ids, as
+    prune_domain and domain_components read them, with no renumbered copy
+    of the table; kept and removed are read from it, so a table with no
+    nonzero key has no component and is Tractable. The index is built on
+    first use, in one pass over the keys, and the stages read it for every
+    component.
     """
-    idx = g.support_index
-    if not idx.kept:
-        return Classification(g, True, (), (), None)
     out: list[ComponentStructure] = []
-    for comp in idx.components:
+    for comp in g.support_index.components:
         res = _classify_component(g, comp)
         if isinstance(res, HardnessWitness):
-            return Classification(g, False, idx.kept, (), res)
+            return Classification(g, False, (), res)
         out.append(res)
-    return Classification(g, True, idx.kept, tuple(out), None)
+    return Classification(g, True, tuple(out), None)
+
+
+def _named_component(g: SymFunc, w: HardnessWitness) -> tuple[int, ...] | None:
+    """The domain component of g that w names, as a tuple, or None when it
+    names none; an unknown kind raises ValueError. The components are read
+    from g.support_index, free when classify built it for the same g."""
+    if w.kind not in WITNESS_KINDS:
+        raise ValueError(f"unknown witness kind {w.kind!r}")
+    try:
+        comp = tuple(w.component)
+        return comp if comp in g.support_index.components else None
+    except TypeError:  # not iterable, or unhashable elements
+        return None
 
 
 def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     """Re-verify a witness against a table by rerunning the classifier.
 
-    The witness must name a domain component of g, read from
-    g.support_index (free when classify built it for the same g). The
+    The witness must name a domain component of g (_named_component). The
     component's stages then run again, each at most once, and the witness
     holds exactly when they fail there with the same kind and evidence.
     The stages are deterministic, so evidence that is true of the table
@@ -765,12 +747,8 @@ def replay_witness(g: SymFunc, w: HardnessWitness) -> bool:
     certify.check_witness, which reruns nothing and accepts any evidence
     true of the table; this rerun stays as its reference.
     """
-    if w.kind not in WITNESS_KINDS:
-        raise ValueError(f"unknown witness kind {w.kind!r}")
-    try:
-        if tuple(w.component) not in g.support_index.components:
-            return False
-    except TypeError:  # not iterable, or unhashable elements
+    comp = _named_component(g, w)
+    if comp is None:
         return False
-    got = _classify_component(g, w.component)
+    got = _classify_component(g, comp)
     return isinstance(got, HardnessWitness) and got.kind == w.kind and got.evidence == w.evidence

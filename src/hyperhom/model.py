@@ -21,6 +21,7 @@ file; constraint lines may repeat (a multiset of scopes).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +109,54 @@ class SymFunc:
         is never mutated, so the index stays valid for the life of g."""
         return SupportIndex.of(self)
 
+    def slice_key(self, z: int) -> tuple[int, tuple[int, ...]]:
+        """z's key count and least rest, which proportional slices share.
+
+        Proportional slices hold the same rests K - z, so they have the same
+        key count and the same least rest, holders[z][0] with one z removed
+        (the holders are sorted, and dropping z from the sorted keys that
+        hold it keeps their order): O(r).
+        """
+        held = self.support_index.holders[z]
+        rest = list(held[0])
+        rest.remove(z)
+        return len(held), tuple(rest)
+
+    def slice_ratio(self, z: int, w: int) -> Fraction | None:
+        """The factor t with g(K) = t * g(K - z + w) for every nonzero key K
+        holding z, or None when z's slice is no multiple of w's.
+
+        The slices are the lists of nonzero keys holding z and w, read from
+        support_index. They are proportional when the lists have the same
+        length and each key of z's list, with one z swapped for w, is a
+        nonzero key at a constant ratio: the swap is injective, so with
+        equal lengths it maps z's keys onto w's. This costs O(|slice| * r)
+        lookups, and mismatches usually show at the first key. Ratios are
+        compared as integer cross-products of numerators and denominators,
+        with no gcd per key, and one Fraction is built for a match.
+        """
+        holders = self.support_index.holders
+        held = holders[z]
+        if len(held) != len(holders[w]):
+            return None
+        table = self.weights
+        num = den = 0  # the first key's ratio num/den; weights are positive
+        for key in held:
+            swapped = list(key)
+            swapped.remove(z)
+            insort(swapped, w)
+            other = table.get(tuple(swapped))
+            if other is None:
+                return None
+            wn, wd = table[key].as_integer_ratio()
+            on, od = other.as_integer_ratio()
+            n, d = wn * od, wd * on
+            if not den:
+                num, den = n, d
+            elif n * den != num * d:
+                return None
+        return Fraction(num, den)
+
 
 _ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
@@ -190,9 +239,10 @@ class SupportIndex:
     search that reads each element's holders at most once, in C loops
     (O(|support| * r^2) element visits at most), and stops as soon as every
     kept element is placed, so one dense component reads a single element's
-    keys. Memory: at most r references per key. sim_classes and
-    check_product_structure read the holders; prune_domain,
-    domain_components, classify and replay_witness read kept and the
+    keys. Memory: at most r references per key. SymFunc.slice_key and
+    SymFunc.slice_ratio, which sim_classes and certify.check_witness call,
+    and check_product_structure read the holders; prune_domain,
+    domain_components, classify and both witness checkers read kept and the
     components; so a table is scanned once however many components it has.
     """
 

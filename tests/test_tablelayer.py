@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperhom import fixtures as fx
 from hyperhom.abelian import AbelianGroup, decompose
+from hyperhom.certify import check_witness
 from hyperhom.dichotomy import (
     FactorStructure,
     GroupStructure,
@@ -236,6 +237,46 @@ def test_sim_classes_match_dense_slices(g):
     classes, ratio = dense_sim_classes(g, comp)
     assert sc.classes == classes
     assert sc.ratio == ratio
+
+
+def test_slice_key_and_ratio_match_dense_slices():
+    # for every ordered pair of elements of every component: slice_ratio is
+    # the dense slices' factor or None, and slice_key is the dense slice's
+    # nonzero count and first nonzero rest, shared by proportional slices
+    rng = random.Random(5281)
+    tables = [fx.random_table(rng, rng.randint(3, 7), rng.choice((3, 4)), zero_frac) for zero_frac in (0.0, 0.3, 0.6) * 4]
+    tables += [fx.random_tractable(rng, rng.randint(2, 7), rng.choice((3, 4))) for _ in range(12)]
+    for factors, s, r in (((2, 2), 2, 3), ((3,), 2, 4), ((2, 2, 2), 1, 3), ((4,), 3, 3)):
+        mu = tuple(sorted(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(s)))
+        tables.append(fx.structured_family([(fx.group_from_factors(*factors), s, mu, 1, Fraction(5, 3))], r=r, junk=1))
+    tables += [_perturbed(rng, g) for g in tables[12:]]  # a key bumped, dropped or added
+    proportional = same_key = 0
+    for g in tables:
+        rest = list(combinations_with_replacement(range(g.q), g.r - 1))
+        for comp in g.support_index.components:
+            slices = {z: [g.value((z,) + w) for w in rest] for z in comp}
+            for z in comp:
+                nonzero = [w for w, v in zip(rest, slices[z]) if v]
+                assert g.slice_key(z) == (len(nonzero), nonzero[0])
+                for w in comp:
+                    t = _proportional(slices[z], slices[w])
+                    assert g.slice_ratio(z, w) == t, (g.weights, z, w)
+                    if t is not None:
+                        assert g.slice_key(z) == g.slice_key(w)
+                        proportional += z != w
+                    else:
+                        same_key += g.slice_key(z) == g.slice_key(w)
+    # both outcomes occur, the second on pairs that share a slice key
+    assert proportional >= 100 and same_key >= 100
+
+
+def test_slice_ratio_needs_equal_key_counts():
+    # swapping 0 for 3 maps 0's one key (0,1,2) onto the nonzero (1,2,3) at
+    # ratio 1, but 3 has a second key: the slices are not proportional
+    g = SymFunc.from_weights(4, 3, {(0, 1, 2): 1, (1, 1, 3): 1, (1, 2, 3): 1})
+    assert g.slice_ratio(0, 3) is None
+    assert g.slice_ratio(3, 0) is None
+    assert g.slice_ratio(0, 0) == 1
 
 
 def _perturbed(rng: random.Random, g: SymFunc) -> SymFunc:
@@ -549,3 +590,39 @@ def test_classify_matches_dense_stages_on_latin_relations():
             assert replay_witness(g, w)
             kinds[w.kind] = kinds.get(w.kind, 0) + 1
     assert kinds == {"NotAssociative": 88, "EquationMismatch": 12}
+
+
+def every_table(q: int, r: int, values):
+    """Every nonzero table on q elements at arity r with weights in values,
+    in lexicographic order of the weight vectors over the sorted keys."""
+    keys = list(combinations_with_replacement(range(q), r))
+    for ws in product(values, repeat=len(keys)):
+        if any(ws):
+            yield SymFunc.from_weights(q, r, dict(zip(keys, ws)))
+
+
+def sweep_verdict(g: SymFunc) -> str:
+    """classify's verdict on g, "Tractable" or the witness kind, after
+    checking it against dense_classify (verdict, invariant factors, exact
+    witness) and, on a Hard answer, that check_witness and replay_witness
+    both accept the witness."""
+    cls = classify(g)
+    tractable, factors, witness = dense_classify(g)
+    if cls.tractable:
+        assert tractable and [c.group.decomposition.factors for c in cls.components] == factors, g.weights
+        return "Tractable"
+    w = cls.witness
+    assert (w.kind, w.component, w.evidence) == witness, g.weights
+    assert check_witness(g, w) and replay_witness(g, w), g.weights
+    return w.kind
+
+
+def test_classify_matches_dense_stages_on_every_small_table():
+    # every weight vector in {0, 1, 2} at q = 2, r = 3..5 and in {0, 1} at
+    # q = 3, r = 3: 2,073 tables
+    kinds = {}
+    for q, r, values in ((2, 3, (0, 1, 2)), (2, 4, (0, 1, 2)), (2, 5, (0, 1, 2)), (3, 3, (0, 1))):
+        for g in every_table(q, r, values):
+            kind = sweep_verdict(g)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {"Tractable": 71, "NotLatin": 1143, "RepValueInconsistent": 826, "UnequalClassSizes": 33}
