@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
 from operator import attrgetter, itemgetter, le, lt
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .exactcore import format_rational, parse_rational
 
@@ -413,83 +413,115 @@ def _strictly_increasing(e: tuple[int, ...]) -> bool:
 
 
 _CHUNK = 1024  # weight lines per column pass of load_symfunc
+_HEAD = 64  # lines in which load_symfunc looks for the header before splitting the whole text
 
 
 def load_symfunc(text: str) -> SymFunc:
     """Parse the `symfunc v1` format.
 
-    The body is read in column passes over chunks of _CHUNK lines: one
-    split() per chunk, one int() and range check per distinct element token
-    and one parse per distinct weight literal per call, then C-level order
-    checks and one dict update per chunk. Weights with the same literal
-    share one Fraction. When any check fails, the line loop reruns over the
-    body only to name the first error, in each line's order '=', element
-    list, length, range, order, literal, sign, duplicate.
+    A text that is not ASCII or breaks lines at more than '\\n' is first
+    joined back from splitlines() with '\\n'. The header is read from the
+    first _HEAD lines (from splitlines() when it is not there or is bad),
+    the body in column passes over slices of the text (_symfunc_columns).
+    When a check fails, the line loop reruns over the body only to name the
+    first error, in each line's order '=', element list, length, range,
+    order, literal, sign, duplicate.
     """
-    raw = text.splitlines()
-    if "#" in text:
-        raw = [line.partition("#")[0] for line in raw]
-    start, ((q_line, q), (r_line, r)) = _header(raw, "symfunc v1", ("q", "r"))
+    if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
+        text = "\n".join(text.splitlines()) + "\n"
+    head = text.split("\n", _HEAD)
+    head.pop()  # the unsplit rest, or what follows the last '\n'
+    try:
+        start, ((q_line, q), (r_line, r)) = _header(head, "symfunc v1", ("q", "r"))
+    except FormatError:
+        head = text.splitlines()
+        start, ((q_line, q), (r_line, r)) = _header(head, "symfunc v1", ("q", "r"))
     if q < 1:
         raise FormatError(q_line, f"domain size must be positive, got {q}")
     if r < 3:
         raise FormatError(r_line, f"arity must be at least 3, got {r}")
-    weights = _symfunc_columns(list(filter(str.strip, raw[start:])), q, r)
+    weights = _symfunc_columns(_symfunc_slices(text, sum(map(len, head[:start])) + start), q, r)
     if weights is None:
-        weights = _symfunc_lines(raw, start, q, r)
+        weights = _symfunc_lines(text.splitlines(), start, q, r)
     return SymFunc(q, r, weights)
 
 
-def _symfunc_columns(body: list[str], q: int, r: int) -> dict[tuple[int, ...], Fraction] | None:
-    """The nonzero weights of the body lines in file order, or None when
+def _symfunc_slices(text: str, pos: int) -> Iterator[str]:
+    """text[pos:] in slices of whole lines ending in '\\n', about _CHUNK
+    lines each at the mean line length."""
+    step = (len(text) - pos) * _CHUNK // (text.count("\n", pos) + 1)
+    while pos < len(text):
+        end = text.find("\n", pos + step) + 1 or len(text)
+        piece = text[pos:end]
+        yield piece if piece.endswith("\n") else piece + "\n"
+        pos = end
+
+
+class _Tokens(dict):
+    """token -> parse(token); a new token is parsed once, and parse raises
+    ValueError on a bad one."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, tok: str):
+        value = self[tok] = self.parse(tok)
+        return value
+
+
+def _symfunc_columns(slices: Iterable[str], q: int, r: int) -> dict[tuple[int, ...], Fraction] | None:
+    """The nonzero weights of the body slices in file order, or None when
     a line is malformed, out of range, unsorted, negative or a duplicate.
 
-    Each chunk's lines are joined with a ' ; ' sentinel and split once;
-    every row of r + 3 tokens must read r elements, '=', a weight, ';'. A
-    stray ';' fails the int(), the '=' test or the literal parse, so when
-    the checks pass the rows are the lines.
+    A slice is split once with its '\\n's made ' ; ': each row of r + 3
+    tokens must read r elements, '=', a weight, ';' (a stray ';' fails a
+    parse, so the rows are the lines). A slice with a '#', which may sit
+    inside a token, or failing that test (a blank line, an '=' without
+    spaces) is re-read by lines: comments cut, blank lines dropped, '='
+    spaced. Columns map through token dicts that parse each new token
+    once; ranges and signs are checked on the dicts' values at the end.
+    The token list goes before the key tuples are built, so the
+    collections they set off do not walk it.
     """
     width = r + 3
     table: dict[tuple[int, ...], Fraction] = {}
-    elements: dict[str, int] = {}  # token -> element of 0..q-1
-    literals: dict[str, Fraction] = {}  # weight token -> nonnegative weight
-    for i in range(0, len(body), _CHUNK):
-        chunk = body[i:i + _CHUNK]
-        rows = len(chunk)
-        tokens = " ; ".join(chunk).replace("=", " = ").split()
-        tokens.append(";")
-        if (len(tokens) != rows * width or tokens[r::width].count("=") != rows
-                or tokens[r + 2::width].count(";") != rows):
+    lines = 0
+    elements, literals = _Tokens(int), _Tokens(parse_rational)
+    for piece in slices:
+        rows = piece.count("\n")
+        tokens = piece.replace("\n", " ; ").split()
+        if "#" in piece or not _rows_are_lines(tokens, rows, r):
+            body = list(filter(str.strip, [line.partition("#")[0] for line in piece.split("\n")]))
+            rows = len(body)
+            tokens = " ; ".join(body + [""]).replace("=", " = ").split()
+            if not _rows_are_lines(tokens, rows, r):
+                return None
+        lines += rows
+        cols = [tokens[j::width] for j in range(r)]
+        ws = tokens[r + 1::width]
+        del tokens
+        try:
+            cols = [list(map(elements.__getitem__, col)) for col in cols]
+            ws = list(map(literals.__getitem__, ws))
+        except ValueError:
             return None
-        cols = []
-        for j in range(r):
-            col = tokens[j::width]
-            for tok in set(col).difference(elements):
-                try:
-                    z = int(tok)
-                except ValueError:
-                    return None
-                if z < 0 or z >= q:
-                    return None
-                elements[tok] = z
-            cols.append(list(map(elements.__getitem__, col)))
         if not all(all(map(le, a, b)) for a, b in zip(cols, cols[1:])):
             return None
-        col = tokens[r + 1::width]
-        for tok in set(col).difference(literals):
-            try:
-                w = parse_rational(tok)
-            except ValueError:
-                return None
-            if w < 0:
-                return None
-            literals[tok] = w
-        table.update(zip(zip(*cols), map(literals.__getitem__, col)))
-    if len(table) != len(body):
+        table.update(zip(zip(*cols), ws))
+    if (len(table) != lines or min(literals.values(), default=0) < 0
+            or not all(0 <= z < q for z in elements.values())):
         return None
     if all(literals.values()):
         return table
     return {key: w for key, w in table.items() if w}
+
+
+def _rows_are_lines(tokens: list[str], rows: int, r: int) -> bool:
+    width = r + 3
+    return (len(tokens) == rows * width and tokens[r::width].count("=") == rows
+            and tokens[r + 2::width].count(";") == rows)
 
 
 def _symfunc_lines(raw: Sequence[str], start: int, q: int, r: int) -> dict[tuple[int, ...], Fraction]:

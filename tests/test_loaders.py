@@ -1,7 +1,7 @@
 """The text loaders against plain per-line references.
 
 The loaders parse each distinct token once per call; load_symfunc checks
-its body in column passes over chunks of lines. The references below parse
+its body in column passes over slices of the text. The references below parse
 every token and literal of every line anew, in the check order the loaders
 document. On valid and on corrupted texts both must agree: an equal object
 with the same key order, or the same FormatError message and line number.
@@ -290,11 +290,65 @@ def symfunc_lines(draw):
 
 SYMFUNC_OPS = [_replace_token, _swap_tokens, _drop_token, _repeat_token, _replace_weight, _drop_equals]
 
+DIGITS = ["0123456789", "０１２３４５６７８９", "٠١٢٣٤٥٦٧٨٩"]  # ASCII, full-width, Arabic-Indic
+
+
+def _digits(draw, n):
+    """n in decimal with 0-2 leading zeros, in the digits of one of DIGITS."""
+    digits = draw(st.sampled_from(DIGITS))
+    return "".join(digits[int(d)] for d in "0" * draw(st.integers(0, 2)) + str(n))
+
+
+def _int_spelling(draw, n):
+    """A token int() reads as n >= 0: a sign ('-' only on 0), leading zeros,
+    an underscore between two digits, digits of any of DIGITS."""
+    text = _digits(draw, n)
+    if len(text) > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, len(text) - 1))
+        text = text[:i] + "_" + text[i:]
+    return draw(st.sampled_from(["", "+", "-"] if n == 0 else ["", "+"])) + text
+
+
+def _weight_spelling(draw):
+    """-?digits[/digits] for a nonnegative weight ('-' only on 0)."""
+    num = draw(st.integers(0, 12))
+    text = ("-" if num == 0 and draw(st.booleans()) else "") + _digits(draw, num)
+    if draw(st.booleans()):
+        text += "/" + _digits(draw, draw(st.integers(1, 12)))
+    return text
+
+
+@st.composite
+def symfunc_texts(draw):
+    """Valid texts in every spelling README's grammar allows: tokens as
+    above, spaces and tabs between them, '=' with or without spaces, blank
+    lines, comment lines, inline comments and '\n' or '\r\n' ends."""
+    q, r = draw(st.integers(1, 12)), draw(st.integers(3, 4))
+    keys = draw(st.lists(st.sampled_from(list(combinations_with_replacement(range(q), r))),
+                         unique=True, max_size=12))
+    gap = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+    lines = ["symfunc v1", f"q{draw(gap)}{_int_spelling(draw, q)}", f"r{draw(gap)}{_int_spelling(draw, r)}"]
+    for key in keys:
+        left = draw(gap).join(_int_spelling(draw, z) for z in key)
+        equals = draw(st.sampled_from([" = ", " = ", "=", " =", "= ", "\t=\t"]))
+        lines.append(left + equals + _weight_spelling(draw))
+    for _ in range(draw(st.integers(0, 4))):  # blank and comment lines, preamble included
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t", "# c", " # 0 0 0 = 1"])))
+    for i in range(len(lines)):
+        if lines[i].strip() and draw(st.integers(0, 3)) == 0:  # outer blanks and inline comments
+            lines[i] = draw(st.sampled_from([" ", "\t", ""])) + lines[i] + draw(st.sampled_from([" ", "#c", " # = 1"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+# valid texts: the seeded spellings of symfunc_lines and README's grammar
+VALID_SYMFUNC_TEXTS = st.one_of(symfunc_lines().map(lambda lines: "\n".join(lines) + "\n"), symfunc_texts())
+
 
 @settings(max_examples=300, deadline=None)
-@given(symfunc_lines())
-def test_symfunc_loader_agrees_on_valid_texts(lines):
-    assert assert_agree(load_symfunc, ref_load_symfunc, "\n".join(lines) + "\n") == "ok"
+@given(VALID_SYMFUNC_TEXTS)
+def test_symfunc_loader_agrees_on_valid_texts(text):
+    assert assert_agree(load_symfunc, ref_load_symfunc, text) == "ok"
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +380,7 @@ def test_symfunc_loader_agrees_on_listed_corruptions():
 
 @lru_cache(maxsize=None)
 def dense_lines(seed):
-    """The lines of a dumped random q=30, r=4 table: about 28 chunks."""
+    """The lines of a dumped random q=30, r=4 table: about 28 passes."""
     return tuple(dump_symfunc(random_table(Random(seed), 30, 4)).splitlines())
 
 
@@ -335,10 +389,16 @@ def test_symfunc_loader_agrees_on_dense_tables():
         lines = dense_lines(seed)
         assert len(lines) > 20 * model._CHUNK
         assert assert_agree(load_symfunc, ref_load_symfunc, "\n".join(lines) + "\n") == "ok"
+    # '\r\n' ends take the splitlines() route
+    assert assert_agree(load_symfunc, ref_load_symfunc, "\r\n".join(dense_lines(1)) + "\r\n") == "ok"
 
 
 def _left(line):
     return line.partition("=")[0].split()
+
+
+def _arabic_indic(token):
+    return "".join("٠١٢٣٤٥٦٧٨٩"[int(d)] for d in token)
 
 
 DENSE_CORRUPTIONS = {
@@ -354,8 +414,21 @@ DENSE_CORRUPTIONS = {
     "zero-weight": (lambda lines, line: " ".join(_left(line)) + " = 0", True),
     "inline-comment": (lambda lines, line: line + " # note = 1", True),
     "blank-line-before": (lambda lines, line: "  \n" + line, True),
+    "arabic-indic-element": (lambda lines, line: _arabic_indic(_left(line)[0]) + line[line.index(" "):], True),
 }
-PAST = 3 + model._CHUNK + 500  # a body line in the second chunk
+# every line break of str.splitlines() but '\n', inside a key: '0 0\x1c0 = 1'
+for _break in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+    DENSE_CORRUPTIONS[f"break-U+{ord(_break):04X}-in-a-key"] = (
+        lambda lines, line, b=_break: " ".join(_left(line)[:2]) + b + " ".join(_left(line)[2:]) + " = 1", False)
+PAST = 3 + model._CHUNK + 500  # a body line in the second pass
+
+
+def first_pass_lines(text):
+    """How many lines of text load_symfunc's first column pass reads, the
+    three header lines included, with the text's line ends made '\n'."""
+    text = "\n".join(text.splitlines()) + "\n"
+    head = sum(len(line) + 1 for line in text.split("\n", 3)[:3])
+    return 3 + next(model._symfunc_slices(text, head)).count("\n")
 
 
 @pytest.mark.parametrize("name", DENSE_CORRUPTIONS)
@@ -364,7 +437,9 @@ def test_symfunc_loader_agrees_on_corrupted_dense_tables(name):
     lines = list(dense_lines(1))
     assert len(set(_left(lines[PAST]))) > 1  # so reversing its key unsorts it
     lines[PAST] = corrupt(lines, lines[PAST])
-    got = assert_agree(load_symfunc, ref_load_symfunc, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    assert first_pass_lines(text) <= PAST  # so the line's tokens are read through the memoised path
+    got = assert_agree(load_symfunc, ref_load_symfunc, text)
     assert got == ("ok" if valid else "error")
 
 
@@ -376,9 +451,8 @@ def _no_line_loop(monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(symfunc_lines())
-def test_symfunc_valid_texts_skip_the_line_loop(lines):
-    text = "\n".join(lines) + "\n"
+@given(VALID_SYMFUNC_TEXTS)
+def test_symfunc_valid_texts_skip_the_line_loop(text):
     want = outcome(ref_load_symfunc, text)
     with pytest.MonkeyPatch.context() as mp:
         _no_line_loop(mp)
@@ -387,6 +461,8 @@ def test_symfunc_valid_texts_skip_the_line_loop(lines):
 
 def test_symfunc_valid_dense_tables_skip_the_line_loop(monkeypatch):
     texts = ["\n".join(dense_lines(seed)) + "\n" for seed in (1, 2)]
+    texts.append(texts[0].replace("\n", "\r\n"))
+    texts.append("# a table\n\n" * model._HEAD + texts[0])  # a header past the look-ahead
     for corrupt, valid in DENSE_CORRUPTIONS.values():
         if valid:
             lines = list(dense_lines(1))
@@ -495,6 +571,9 @@ HEADER_ERRORS = {
     "symfunc-q": (load_symfunc, ref_load_symfunc, "# a table\n\nsymfunc v1\nq 0\nr 3\n", 4),
     "symfunc-r": (load_symfunc, ref_load_symfunc, "# a table\n\nsymfunc v1\nq 2\n\nr 2\n", 6),
     "symfunc-missing-r": (load_symfunc, ref_load_symfunc, "# a table\n\nsymfunc v1\nq 2\n# end\n", 6),
+    # headers past load_symfunc's look-ahead of model._HEAD lines
+    "symfunc-r-late": (load_symfunc, ref_load_symfunc, "#\n\n" * 40 + "symfunc v1\nq 2\nr 2\n", 83),
+    "symfunc-missing-r-late": (load_symfunc, ref_load_symfunc, "#\n\n" * 40 + "symfunc v1\nq 2\n", 83),
     "hypergraph-n": (load_hypergraph, ref_load_hypergraph, "# an instance\n\nhypergraph v1\nn -1\n", 4),
     "hypergraph-missing-n": (load_hypergraph, ref_load_hypergraph, "hypergraph v1\n", 2),
     "csp-n": (load_csp, ref_load_csp, "# an instance\n\ncsp v1\nn -1\n", 4),
