@@ -23,7 +23,7 @@ __all__ = [
     "snf",
 ]
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _parse_int(digits: str) -> int:
@@ -40,7 +40,7 @@ def _parse_int(digits: str) -> int:
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` with the sign on the numerator only."""
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = _parse_int(m.group(1))

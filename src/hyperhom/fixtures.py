@@ -316,12 +316,21 @@ def random_tractable(rng: random.Random, q: int, r: int = 3) -> SymFunc:
 
 
 def random_table(rng: random.Random, q: int, r: int = 3, zero_frac: float = 0.3) -> SymFunc:
-    """Uniform random table with roughly the given fraction of zeros."""
+    """Uniform random table with roughly the given fraction of zeros.
+
+    The keys are sorted, in range and distinct, and every weight is a
+    positive Fraction, so the table is valid by construction and is not
+    checked again.
+    """
+    if q < 1:
+        raise ValueError(f"domain size must be positive, got {q}")
+    if r < 3:
+        raise ValueError(f"arity must be at least 3, got {r}")
     weights = {}
     for key in combinations_with_replacement(range(q), r):
         if rng.random() >= zero_frac:
             weights[key] = _random_rational(rng)
-    return SymFunc.from_weights(q, r, weights)
+    return SymFunc(q, r, weights)
 
 
 def random_hypergraph(rng: random.Random, n_max: int, m_max: int, r: int) -> Hypergraph:

@@ -98,9 +98,15 @@ def two_stretch(inst: Instance) -> GadgetResult:
 
     Accepts loops and parallel scopes (a loop becomes a parallel pair
     through its midpoint); the result is always a 2-uniform multigraph.
+    The result has no equality constraints, so a CspInstance carrying
+    some is refused with ValueError.
     """
     if inst.arity not in (None, 2):
         raise ValueError(f"2-stretch needs arity 2, got {inst.arity}")
+    if isinstance(inst, CspInstance) and inst.equalities:
+        raise ValueError(
+            f"2-stretch drops equality constraints {list(inst.equalities)}; eliminate them first"
+        )
     edges = []
     midpoints = []
     c = inst.n
@@ -202,6 +208,10 @@ def power_function(g: SymFunc, j: int) -> SymFunc:
     unary-marginal factor per power step; absorbing those per scope gives
     weights g(z) * prod over positions of f1(z_t)^(j-1). Evaluating this
     on G equals evaluating g on vertex_power(G, j).
+
+    The table keeps g's keys, and multiplies each weight by positive
+    marginals of elements that some nonzero key holds, so it is valid by
+    construction and is not checked again.
     """
     if j < 1:
         raise ValueError(f"power must be at least 1, got {j}")
@@ -213,7 +223,7 @@ def power_function(g: SymFunc, j: int) -> SymFunc:
         for z in key:
             w = w * f1.value((z,)) ** (j - 1)
         weights[key] = w
-    return SymFunc.from_weights(g.q, g.r, weights)
+    return SymFunc(g.q, g.r, weights)
 
 
 def component_separator(g_instance: Hypergraph, p: int) -> GadgetResult:

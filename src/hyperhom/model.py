@@ -26,7 +26,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from operator import attrgetter, itemgetter, le, lt
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -86,18 +86,30 @@ class SymFunc:
         Each key becomes the sorted tuple of int() of its elements; it must
         have r elements in 0..q-1, and no nonzero key may sort like another
         key. Each weight becomes a Fraction (one that is exactly a Fraction
-        is kept as given) and must be nonnegative. The checks run in column
-        passes (_weights_columns); when one fails or a conversion raises,
-        the key loop (_weights_loop) runs to raise the first key's first
-        error, or to keep a table whose only repeats have zero weight.
+        is kept as given) and must be nonnegative. The first key's first
+        error is raised, in the order element conversion, arity, range,
+        weight conversion, sign, duplicate. A zero weight claims no key, so
+        a key may repeat one of zero weight that comes before it, and only
+        its nonzero weight is kept.
         """
         if q < 1:
             raise ValueError(f"domain size must be positive, got {q}")
         if r < 3:
             raise ValueError(f"arity must be at least 3, got {r}")
-        table = _weights_columns(q, r, weights)
-        if table is None:
-            table = _weights_loop(q, r, weights)
+        table: dict[tuple[int, ...], Fraction] = {}
+        for key, w in weights.items():
+            k = tuple(sorted(int(z) for z in key))
+            if len(k) != r:
+                raise ValueError(f"key {k} has arity {len(k)}, expected {r}")
+            if any(z < 0 or z >= q for z in k):
+                raise ValueError(f"key {k} out of domain range 0..{q - 1}")
+            w = w if type(w) is Fraction else Fraction(w)
+            if w < 0:
+                raise ValueError(f"negative weight {w} at {k}")
+            if k in table:
+                raise ValueError(f"duplicate key {k}")
+            if w != 0:
+                table[k] = w
         return SymFunc(q, r, table)
 
     def value(self, key: Sequence[int]) -> Fraction:
@@ -161,63 +173,6 @@ class SymFunc:
 _ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
-
-
-def _weights_columns(
-    q: int, r: int, weights: Mapping[Sequence[int], Fraction | int]
-) -> dict[tuple[int, ...], Fraction] | None:
-    """The nonzero weights in the mapping's order, or None when a key or
-    weight fails a check or its conversion raises.
-
-    C-level maps build the sorted int keys, and only weights that are not
-    exactly Fractions are converted. One set of key lengths, the least
-    first and the greatest last element check arity and range; the least
-    numerator checks the sign; one dict of all keys finds repeats by its
-    size; one pass drops the zero weights.
-    """
-    try:
-        keys = list(map(tuple, map(sorted, map(map, repeat(int), weights))))
-        ws = [w if type(w) is Fraction else Fraction(w) for w in weights.values()]
-    except Exception:  # _weights_loop raises it again, after any earlier key's error
-        return None
-    if set(map(len, keys)) - {r}:
-        return None
-    if min(map(itemgetter(0), keys), default=0) < 0 or max(map(itemgetter(-1), keys), default=0) >= q:
-        return None
-    nums = list(map(_numerator, ws))
-    if min(nums, default=0) < 0:
-        return None
-    table = dict(zip(keys, ws))
-    if len(table) != len(keys):
-        return None
-    if all(nums):
-        return table
-    return dict(compress(zip(keys, ws), nums))
-
-
-def _weights_loop(
-    q: int, r: int, weights: Mapping[Sequence[int], Fraction | int]
-) -> dict[tuple[int, ...], Fraction]:
-    """from_weights' key loop: raises the first key's first error, in the
-    order element conversion, arity, range, weight conversion, sign,
-    duplicate, or returns the nonzero weights in the mapping's order. A
-    zero weight claims no key, so a key may repeat one of zero weight
-    that comes before it, and only its nonzero weight is kept."""
-    table: dict[tuple[int, ...], Fraction] = {}
-    for key, w in weights.items():
-        k = tuple(sorted(int(z) for z in key))
-        if len(k) != r:
-            raise ValueError(f"key {k} has arity {len(k)}, expected {r}")
-        if any(z < 0 or z >= q for z in k):
-            raise ValueError(f"key {k} out of domain range 0..{q - 1}")
-        w = Fraction(w)
-        if w < 0:
-            raise ValueError(f"negative weight {w} at {k}")
-        if k in table:
-            raise ValueError(f"duplicate key {k}")
-        if w != 0:
-            table[k] = w
-    return table
 
 
 @dataclass(frozen=True, eq=False)

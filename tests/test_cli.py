@@ -358,7 +358,7 @@ def test_eval_brute_cap_values(files, capsys, value):
             assert value in message and "exceed" not in message
 
 
-def test_gadget_commands(files, capsys):
+def test_gadget_commands(files, capsys, tmp_path):
     code, report, _ = run_cli(capsys, "gadget", "pad", "-i", files["tri"], "-r", "3")
     assert code == 0
     inst = report["payload"]["instance"]
@@ -366,6 +366,14 @@ def test_gadget_commands(files, capsys):
 
     code, report, _ = run_cli(capsys, "gadget", "stretch", "-i", files["tri"])
     assert code == 0 and len(report["payload"]["instance"]["edges"]) == 6
+
+    stretch_eq = tmp_path / "stretch-eq.csp"
+    stretch_eq.write_text("csp v1\nn 3\nc 0 1\nc 1 2\neq 0 2\n")
+    code, report, _ = run_cli(capsys, "gadget", "stretch", "-i", str(stretch_eq))
+    assert code == 1
+    assert report["payload"]["message"] == (
+        "2-stretch drops equality constraints [(0, 2)]; eliminate them first"
+    )
 
     code, report, _ = run_cli(capsys, "gadget", "tilde", "-g", files["parity"], "-k", "3")
     assert code == 0

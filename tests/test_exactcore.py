@@ -23,7 +23,7 @@ def test_parse_rational_values():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "1.5", "2/0", "1/-2", "a/b", "1/2/3", " 1"):
+    for bad in ("", "1.5", "2/0", "1/-2", "a/b", "1/2/3", " 1", "1\n", "1/2\n", "-3\n"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

@@ -180,6 +180,20 @@ def test_stretch_identity():
             assert eval_table_brute(table, inst) == eval_table_brute(f2, res.instance)
 
 
+def test_stretch_refuses_equalities():
+    """The stretched graph has no equality constraints, and dropping them
+    changes Z, so a csp carrying some is refused."""
+    h = SymFunc(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(5)})
+    h2 = gram([[1, 2], [2, 5]])
+    table = SymFunc(2, 2, {(x, y): h2[x][y] for x in range(2) for y in range(x, 2)})
+    csp = CspInstance(3, ((0, 1), (1, 2)), ((0, 2),))
+    dropped = CspInstance(3, csp.scopes, ())
+    assert eval_table_brute(table, csp) == 1154
+    assert eval_table_brute(h, two_stretch(dropped).instance) == eval_table_brute(table, dropped) == 1970
+    with pytest.raises(ValueError, match=r"drops equality constraints \[\(0, 2\)\]"):
+        two_stretch(csp)
+
+
 def test_vertex_power_structure():
     res = vertex_power(EDGE3, 2)
     assert res.instance.n == 9

@@ -1,11 +1,13 @@
 """Weight tables built by SymFunc.from_weights and written by dump_symfunc.
 
-from_weights checks its table in column passes and runs its key loop only
-when a check fails. The reference below is the plain key loop: one int()
-per element, one Fraction() and one comparison per weight, every key in
-the mapping's order. On valid and on corrupted mappings both must agree:
-an equal table with the same key order and weight type, or the same
-exception type and message.
+from_weights checks its table in one loop over the keys. The reference
+below is the plain key loop: one int() per element, one Fraction() and
+one comparison per weight, every key in the mapping's order. On valid and
+on corrupted mappings both must agree: an equal table with the same key
+order and weight type, or the same exception type and message.
+
+random_table and power_function build their tables unchecked, as valid by
+construction; from_weights must keep each such table as it is.
 
 dump_symfunc formats each distinct element and weight once. Its output is
 pinned by sha256 digests of texts written by the per-key writer it
@@ -20,7 +22,6 @@ from random import Random
 import pytest
 
 from hyperhom import fixtures as fx
-from hyperhom import model
 from hyperhom.gadgets import power_function, relation_to_symfunc
 from hyperhom.model import FormatError, SymFunc, dump_symfunc, load_symfunc, marginalize, prune_domain
 
@@ -233,24 +234,31 @@ def test_from_weights_agrees_on_dense_mappings(name):
     assert got == ("ok" if name in ("valid", "zero-weights") else "error")
 
 
-def test_valid_mappings_skip_the_key_loop(monkeypatch):
-    cases = [valid_mapping(Random(seed)) for seed in range(400)]
-    cases.append((30, 4, dense_mapping(1, 30, 4)))
-    wants = [outcome(ref_from_weights, *case) for case in cases]
-
-    def refuse(*args):
-        raise AssertionError("the key loop ran on a valid mapping")
-
-    monkeypatch.setattr(model, "_weights_loop", refuse)
-    assert [outcome(SymFunc.from_weights, *case) for case in cases] == wants
-
-
 def test_exact_fractions_are_kept_as_given():
     w, half = Fraction(3, 2), Half(1, 2)
     g = SymFunc.from_weights(2, 3, {(1, 0, 0): w, (1, 1, 1): 2})
     assert g.weights[(0, 0, 1)] is w
     g = SymFunc.from_weights(2, 3, {(0, 0, 0): half, (1, 1, 1): w})
     assert type(g.weights[(0, 0, 0)]) is Fraction and g.weights[(0, 0, 0)] == half
+
+
+def assert_valid_as_built(g):
+    checked = SymFunc.from_weights(g.q, g.r, g.weights)
+    assert list(checked.weights.items()) == list(g.weights.items()), (g.q, g.r)
+
+
+def test_unchecked_builders_make_valid_tables():
+    rng = Random(35)
+    shapes = [(rng.randint(1, 12), rng.choice((3, 4))) for _ in range(20)] + [(30, 3), (30, 4)]
+    for q, r in shapes:
+        assert_valid_as_built(fx.random_table(rng, q, r, rng.choice((0.0, 0.3, 0.8))))
+    for _ in range(12):
+        g = fx.random_tractable(rng, rng.randint(1, 10), rng.choice((3, 4)))
+        for j in (2, 3):
+            assert_valid_as_built(power_function(g, j))
+    for q, r, message in ((0, 3, "domain size must be positive, got 0"), (2, 2, "arity must be at least 3, got 2")):
+        with pytest.raises(ValueError, match=message):
+            fx.random_table(rng, q, r)
 
 
 # ---------------------------------------------------------------------------
